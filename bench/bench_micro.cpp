@@ -194,11 +194,15 @@ void BM_GemmBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBackward)->Arg(256);
 
+// One Trainer::train_batch (forward, backward, Adam step) at {cells,
+// batch, hidden, latent}. {10, 32, 96, 12} is the paper shape: 2000
+// sites and the framework's default VAE, the batch that pretraining and
+// ddp_fit repeat.
 void BM_VaeTrainStep(benchmark::State& state) {
-  System sys(4);
-  auto vae = bench_vae(sys, 64, 16);
+  System sys(static_cast<int>(state.range(0)));
+  auto vae = bench_vae(sys, state.range(2), state.range(3));
   nn::TrainOptions to;
-  to.batch_size = static_cast<std::int32_t>(state.range(0));
+  to.batch_size = static_cast<std::int32_t>(state.range(1));
   nn::Trainer trainer(*vae, to);
   mc::Rng rng(7, 0);
   std::vector<std::uint8_t> batch;
@@ -211,7 +215,10 @@ void BM_VaeTrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.train_batch(batch, to.batch_size));
   state.SetItemsProcessed(state.iterations() * to.batch_size);
 }
-BENCHMARK(BM_VaeTrainStep)->Arg(8)->Arg(32);
+BENCHMARK(BM_VaeTrainStep)
+    ->Args({4, 8, 64, 16})
+    ->Args({4, 32, 64, 16})
+    ->Args({10, 32, 96, 12});
 
 void BM_MinicommAllreduce(benchmark::State& state) {
   const auto ranks = static_cast<int>(state.range(0));

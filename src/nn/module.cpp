@@ -75,6 +75,12 @@ Tensor Linear::forward(const Tensor& x) {
   return tensor::add_rowvec(tensor::matmul(x, weight_), bias_);
 }
 
+Tensor Linear::forward_onehot(std::span<const std::uint8_t> idx,
+                              std::int64_t classes, const Tensor& tail) {
+  return tensor::add_rowvec(tensor::onehot_matmul(idx, classes, tail, weight_),
+                            bias_);
+}
+
 const tensor::PackedB* Linear::packed_lookup(
     std::uint64_t weight_version) const {
   if (packed_version_.load(std::memory_order_acquire) == weight_version) {

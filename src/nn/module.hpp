@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,10 @@ class Linear final : public Module {
          Xoshiro256ss& rng);
 
   Tensor forward(const Tensor& x) override;
+  /// forward() over [onehot(idx) | tail] without the dense one-hot input
+  /// (see tensor::onehot_matmul); bitwise equal to forward() on it.
+  Tensor forward_onehot(std::span<const std::uint8_t> idx,
+                        std::int64_t classes, const Tensor& tail);
   [[nodiscard]] std::vector<Tensor> parameters() const override;
   [[nodiscard]] std::string name() const override { return "linear"; }
 

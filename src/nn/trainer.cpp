@@ -114,18 +114,7 @@ VaeLossParts Trainer::train_batch(std::span<const std::uint8_t> occupancies,
                                   std::int64_t batch_size,
                                   bool defer_optimizer_step,
                                   std::span<const float> conditions) {
-  const auto n_sites = vae_->options().n_sites;
-  DT_CHECK(static_cast<std::int64_t>(occupancies.size()) ==
-           batch_size * n_sites);
-
-  const std::vector<float> onehot = vae_->one_hot(occupancies, batch_size);
-  const tensor::Tensor batch = tensor::Tensor::from_data(
-      {batch_size, vae_->input_dim()}, onehot);
-  std::vector<std::int32_t> labels(occupancies.size());
-  for (std::size_t i = 0; i < occupancies.size(); ++i)
-    labels[i] = occupancies[i];
-
-  VaeLossParts parts = vae_->loss(batch, labels, rng_, conditions);
+  VaeLossParts parts = vae_->loss(occupancies, batch_size, rng_, conditions);
   parts.total.backward();
   if (!defer_optimizer_step) optimizer_.step();
   return parts;
@@ -165,7 +154,6 @@ TrainReport Trainer::fit(const ConfigDataset& dataset, const EpochHook& hook,
                "fit(): first_epoch out of range");
 
   const auto n_samples = dataset.size();
-  const auto n_sites = static_cast<std::size_t>(dataset.n_sites());
   std::vector<std::size_t> order(n_samples);
   std::iota(order.begin(), order.end(), 0);
 
@@ -209,7 +197,6 @@ TrainReport Trainer::fit(const ConfigDataset& dataset, const EpochHook& hook,
       last_kl = parts.kl;
       ++batches;
       report.samples_seen += b;
-      (void)n_sites;
     }
     const auto mean_loss =
         static_cast<float>(loss_acc / static_cast<double>(batches));

@@ -58,10 +58,8 @@ Vae::Vae(VaeOptions options, std::uint64_t seed) : options_(options) {
 
   Xoshiro256ss rng(seed);
   const std::int64_t cond = options_.condition_dim;
-  auto enc = std::make_unique<Sequential>();
-  enc->add(std::make_unique<Linear>(input_dim() + cond, options_.hidden, rng));
-  enc->add(std::make_unique<Activation>(ActivationKind::kTanh));
-  encoder_ = std::move(enc);
+  encoder_ =
+      std::make_unique<Linear>(input_dim() + cond, options_.hidden, rng);
   mu_head_ = std::make_unique<Linear>(options_.hidden, options_.latent, rng);
   logvar_head_ =
       std::make_unique<Linear>(options_.hidden, options_.latent, rng);
@@ -106,29 +104,25 @@ std::vector<float> Vae::one_hot(std::span<const std::uint8_t> occupancies,
   return out;
 }
 
-VaeLossParts Vae::loss(const Tensor& batch_onehot,
-                       const std::vector<std::int32_t>& labels,
-                       Xoshiro256ss& eps_rng,
+VaeLossParts Vae::loss(std::span<const std::uint8_t> occupancies,
+                       std::int64_t batch, Xoshiro256ss& eps_rng,
                        std::span<const float> conditions) {
-  DT_CHECK(batch_onehot.shape().size() == 2);
-  DT_CHECK(batch_onehot.shape()[1] == input_dim());
-  const std::int64_t batch = batch_onehot.shape()[0];
-  DT_CHECK(static_cast<std::int64_t>(labels.size()) ==
-           batch * options_.n_sites);
+  DT_CHECK(batch >= 1);
+  DT_CHECK_MSG(static_cast<std::int64_t>(occupancies.size()) ==
+                   batch * options_.n_sites,
+               "loss(): occupancy size must be batch * n_sites");
   DT_CHECK_MSG(static_cast<std::int64_t>(conditions.size()) ==
                    batch * options_.condition_dim,
                "loss(): conditions size must be batch * condition_dim");
 
   Tensor cond_tensor;
-  Tensor enc_in = batch_onehot;
-  if (options_.condition_dim > 0) {
+  if (options_.condition_dim > 0)
     cond_tensor = Tensor::from_data(
         {batch, options_.condition_dim},
         std::vector<float>(conditions.begin(), conditions.end()));
-    enc_in = tensor::concat_cols(batch_onehot, cond_tensor);
-  }
 
-  const Tensor h = encoder_->forward(enc_in);
+  const Tensor h = tensor::tanh(
+      encoder_->forward_onehot(occupancies, options_.n_species, cond_tensor));
   const Tensor mu = mu_head_->forward(h);
   const Tensor logvar = logvar_head_->forward(h);
 
@@ -144,7 +138,7 @@ VaeLossParts Vae::loss(const Tensor& batch_onehot,
   // cross_entropy is a mean over B*n_sites rows; multiply by n_sites to
   // get the mean per-sample reconstruction NLL.
   const Tensor recon = tensor::scale(
-      tensor::cross_entropy_with_logits(flat, labels),
+      tensor::cross_entropy_with_logits(flat, occupancies),
       static_cast<float>(options_.n_sites));
 
   // KL(q||N(0,I)) = -1/2 sum(1 + logvar - mu^2 - e^logvar), mean over B.
@@ -269,7 +263,7 @@ std::vector<float> Vae::encode_mean(std::span<const float> onehot,
   xin.insert(xin.end(), condition.begin(), condition.end());
   const Tensor x = Tensor::from_data(
       {1, input_dim() + options_.condition_dim}, std::move(xin));
-  const Tensor mu = mu_head_->forward(encoder_->forward(x));
+  const Tensor mu = mu_head_->forward(tensor::tanh(encoder_->forward(x)));
   return mu.data();
 }
 

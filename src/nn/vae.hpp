@@ -60,14 +60,15 @@ class Vae {
       std::span<const std::uint8_t> occupancies,
       std::int64_t batch_size) const;
 
-  /// Build the ELBO loss graph for a one-hot batch of shape
-  /// (B, n_sites*n_species); `labels` are the corresponding species
-  /// indices, length B*n_sites. `eps_rng` drives the reparameterisation
-  /// noise. For a conditional model, `conditions` holds B*condition_dim
-  /// floats (required); it must be empty otherwise.
-  VaeLossParts loss(const tensor::Tensor& batch_onehot,
-                    const std::vector<std::int32_t>& labels,
-                    Xoshiro256ss& eps_rng,
+  /// Build the ELBO loss graph for `batch` occupancy vectors laid out
+  /// back to back (as one_hot takes them). The encoder reads them
+  /// sparsely -- no one-hot batch is built -- with a result bitwise equal
+  /// to the dense one-hot encoder's. `eps_rng` drives the
+  /// reparameterisation noise. For a conditional model, `conditions`
+  /// holds batch*condition_dim floats (required); it must be empty
+  /// otherwise.
+  VaeLossParts loss(std::span<const std::uint8_t> occupancies,
+                    std::int64_t batch, Xoshiro256ss& eps_rng,
                     std::span<const float> conditions = {});
 
   /// Decoder per-site categorical probabilities for a latent vector z
@@ -113,7 +114,7 @@ class Vae {
 
  private:
   VaeOptions options_;
-  std::unique_ptr<Sequential> encoder_;   // input -> hidden (activated)
+  std::unique_ptr<Linear> encoder_;       // input -> hidden (tanh applied)
   std::unique_ptr<Linear> mu_head_;       // hidden -> latent
   std::unique_ptr<Linear> logvar_head_;   // hidden -> latent
   std::unique_ptr<Sequential> decoder_;   // latent -> input logits

@@ -32,7 +32,6 @@ DdpReport ddp_fit(Communicator& comm, nn::Trainer& trainer,
       static_cast<std::int64_t>(comm.allreduce_max(
           static_cast<double>(local_batches)));
 
-  const auto n_sites = static_cast<std::size_t>(shard.n_sites());
   DdpReport report;
   double loss_acc = 0.0;
 
@@ -52,7 +51,6 @@ DdpReport ddp_fit(Communicator& comm, nn::Trainer& trainer,
         cond_buf.insert(cond_buf.end(), c.begin(), c.end());
         ++b;
       }
-      (void)n_sites;
       const auto parts = trainer.train_batch(batch_buf, b,
                                              /*defer_optimizer_step=*/true,
                                              cond_buf);

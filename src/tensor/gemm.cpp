@@ -24,20 +24,25 @@ bool use_parallel(GemmMode mode, std::size_t flops) {
   return false;
 }
 
+// The micro kernels read element (r, kk) of their A tile at
+// a[r * ars + kk * aks]: (lda, 1) walks A row-major, (1, lda) walks A^T
+// without a transposed copy (gemm_tn_acc).
+
 /// Full micro-tile: C(4, 32) += A(4, kb) . B(kb, 32), accumulators kept
 /// in registers across the whole kb depth.
-inline void micro_4x32(std::size_t kb, const float* a, std::size_t lda,
-                       const float* b, std::size_t ldb, float* c,
-                       std::size_t ldc) {
+inline void micro_4x32(std::size_t kb, const float* a, std::size_t ars,
+                       std::size_t aks, const float* b, std::size_t ldb,
+                       float* c, std::size_t ldc) {
   float acc[kMr][kNr];
   for (std::size_t r = 0; r < kMr; ++r)
     for (std::size_t j = 0; j < kNr; ++j) acc[r][j] = c[r * ldc + j];
   for (std::size_t kk = 0; kk < kb; ++kk) {
     const float* brow = b + kk * ldb;
-    const float a0 = a[0 * lda + kk];
-    const float a1 = a[1 * lda + kk];
-    const float a2 = a[2 * lda + kk];
-    const float a3 = a[3 * lda + kk];
+    const float* acol = a + kk * aks;
+    const float a0 = acol[0 * ars];
+    const float a1 = acol[1 * ars];
+    const float a2 = acol[2 * ars];
+    const float a3 = acol[3 * ars];
     for (std::size_t j = 0; j < kNr; ++j) {
       const float bj = brow[j];
       acc[0][j] += a0 * bj;
@@ -53,21 +58,25 @@ inline void micro_4x32(std::size_t kb, const float* a, std::size_t lda,
 /// Edge micro-tile for partial rows/columns; same per-element
 /// accumulation order (kk sequential) as the full tile.
 inline void micro_edge(std::size_t rows, std::size_t cols, std::size_t kb,
-                       const float* a, std::size_t lda, const float* b,
-                       std::size_t ldb, float* c, std::size_t ldc) {
+                       const float* a, std::size_t ars, std::size_t aks,
+                       const float* b, std::size_t ldb, float* c,
+                       std::size_t ldc) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* arow = a + r * lda;
+    const float* arow = a + r * ars;
     float* crow = c + r * ldc;
     for (std::size_t kk = 0; kk < kb; ++kk) {
-      const float ar = arow[kk];
+      const float ar = arow[kk * aks];
       const float* brow = b + kk * ldb;
       for (std::size_t j = 0; j < cols; ++j) crow[j] += ar * brow[j];
     }
   }
 }
 
+/// C(m,n) += op(A)(m,k) . B(k,n), op(A) read through the (ars, aks)
+/// strides of the micro kernels.
 void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                  const float* b, float* c, GemmMode mode) {
+                  std::size_t ars, std::size_t aks, const float* b, float* c,
+                  GemmMode mode) {
   const bool parallel = use_parallel(mode, 2 * m * k * n);
   // Packing pays off only when several row tiles reuse the panel; for
   // skinny A (the batch-1 decode GEMV) the extra copy would dominate.
@@ -99,14 +108,15 @@ void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
       for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
         const std::size_t i0 = static_cast<std::size_t>(ti) * kMr;
         const std::size_t rows = std::min(kMr, m - i0);
-        const float* ablk = a + i0 * k + k0;
+        const float* ablk = a + i0 * ars + k0 * aks;
         float* cblk = c + i0 * n + j0;
         for (std::size_t jj = 0; jj < nb; jj += kNr) {
           const std::size_t cols = std::min(kNr, nb - jj);
           if (rows == kMr && cols == kNr)
-            micro_4x32(kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
+            micro_4x32(kb, ablk, ars, aks, bsrc + jj, ldb, cblk + jj, n);
           else
-            micro_edge(rows, cols, kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
+            micro_edge(rows, cols, kb, ablk, ars, aks, bsrc + jj, ldb,
+                       cblk + jj, n);
         }
       }
     }
@@ -141,9 +151,10 @@ void gemm_nn_packed_impl(std::size_t m, std::size_t k, std::size_t n,
         for (std::size_t jj = 0; jj < nb; jj += kNr) {
           const std::size_t cols = std::min(kNr, nb - jj);
           if (rows == kMr && cols == kNr)
-            micro_4x32(kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
+            micro_4x32(kb, ablk, k, 1, bsrc + jj, ldb, cblk + jj, n);
           else
-            micro_edge(rows, cols, kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
+            micro_edge(rows, cols, kb, ablk, k, 1, bsrc + jj, ldb, cblk + jj,
+                       n);
         }
       }
     }
@@ -186,93 +197,52 @@ void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, GemmMode mode) {
   std::fill(c, c + m * n, 0.0f);
-  gemm_nn_impl(m, k, n, a, b, c, mode);
+  gemm_nn_impl(m, k, n, a, k, 1, b, c, mode);
 }
 
 void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
                  const float* b, float* c, GemmMode mode) {
   // The micro kernels load C tiles into their accumulators before the
   // depth loop, so skipping the zero fill accumulates on top of C.
-  gemm_nn_impl(m, k, n, a, b, c, mode);
+  gemm_nn_impl(m, k, n, a, k, 1, b, c, mode);
 }
 
 void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,
                  const float* b, float* c, GemmMode mode) {
   const bool parallel = use_parallel(mode, 2 * m * n * t);
-  const auto rows = static_cast<std::ptrdiff_t>(m);
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t ri = 0; ri < rows; ++ri) {
-    const auto i = static_cast<std::size_t>(ri);
-    const float* arow = a + i * t;
-    float* crow = c + i * n;
-    std::size_t j = 0;
-    // Four dot products share one pass over the A row.
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + (j + 0) * t;
-      const float* b1 = b + (j + 1) * t;
-      const float* b2 = b + (j + 2) * t;
-      const float* b3 = b + (j + 3) * t;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (std::size_t tt = 0; tt < t; ++tt) {
-        const float av = arow[tt];
-        s0 += av * b0[tt];
-        s1 += av * b1[tt];
-        s2 += av * b2[tt];
-        s3 += av * b3[tt];
+  const auto row_tiles = static_cast<std::ptrdiff_t>((m + kMr - 1) / kMr);
+  // B^T panel for one (depth block, column tile): panel[tt][j] =
+  // B[j0 + j][t0 + tt], streamed by every row tile like a gemm_nn panel.
+  alignas(64) float panel[kKc * kNr];
+  for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+    const std::size_t cols = std::min(kNr, n - j0);
+    for (std::size_t t0 = 0; t0 < t; t0 += kKc) {
+      const std::size_t kb = std::min(kKc, t - t0);
+      for (std::size_t j = 0; j < cols; ++j) {
+        const float* brow = b + (j0 + j) * t + t0;
+        for (std::size_t tt = 0; tt < kb; ++tt) panel[tt * kNr + j] = brow[tt];
       }
-      crow[j + 0] += s0;
-      crow[j + 1] += s1;
-      crow[j + 2] += s2;
-      crow[j + 3] += s3;
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * t;
-      float s = 0.0f;
-      for (std::size_t tt = 0; tt < t; ++tt) s += arow[tt] * brow[tt];
-      crow[j] += s;
+      // Threads split ROW tiles only; the tt reduction stays sequential
+      // per C element, so any thread count gives bitwise equal results.
+#pragma omp parallel for schedule(static) if (parallel)
+      for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
+        const std::size_t i0 = static_cast<std::size_t>(ti) * kMr;
+        const std::size_t rows = std::min(kMr, m - i0);
+        const float* ablk = a + i0 * t + t0;
+        float* cblk = c + i0 * n + j0;
+        if (rows == kMr && cols == kNr)
+          micro_4x32(kb, ablk, t, 1, panel, kNr, cblk, n);
+        else
+          micro_edge(rows, cols, kb, ablk, t, 1, panel, kNr, cblk, n);
+      }
     }
   }
 }
 
 void gemm_tn_acc(std::size_t p, std::size_t m, std::size_t n, const float* a,
                  const float* b, float* c, GemmMode mode) {
-  const bool parallel = use_parallel(mode, 2 * p * m * n);
-  const auto row_tiles = static_cast<std::ptrdiff_t>((m + kMr - 1) / kMr);
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
-    const std::size_t i0 = static_cast<std::size_t>(ti) * kMr;
-    const std::size_t rows = std::min(kMr, m - i0);
-    if (rows == kMr) {
-      float* c0 = c + (i0 + 0) * n;
-      float* c1 = c + (i0 + 1) * n;
-      float* c2 = c + (i0 + 2) * n;
-      float* c3 = c + (i0 + 3) * n;
-      for (std::size_t tt = 0; tt < p; ++tt) {
-        const float* acol = a + tt * m + i0;
-        const float* brow = b + tt * n;
-        const float a0 = acol[0];
-        const float a1 = acol[1];
-        const float a2 = acol[2];
-        const float a3 = acol[3];
-        for (std::size_t j = 0; j < n; ++j) {
-          const float bj = brow[j];
-          c0[j] += a0 * bj;
-          c1[j] += a1 * bj;
-          c2[j] += a2 * bj;
-          c3[j] += a3 * bj;
-        }
-      }
-    } else {
-      for (std::size_t r = 0; r < rows; ++r) {
-        float* crow = c + (i0 + r) * n;
-        for (std::size_t tt = 0; tt < p; ++tt) {
-          const float av = a[tt * m + i0 + r];
-          const float* brow = b + tt * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
+  // A^T is A read with swapped strides: element (i, t) is a[t * m + i].
+  gemm_nn_impl(m, p, n, a, 1, m, b, c, mode);
 }
 
 }  // namespace dt::tensor

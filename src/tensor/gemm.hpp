@@ -1,23 +1,30 @@
 // Blocked single-precision GEMM kernels backing tensor::matmul.
 //
 // Three variants cover the forward pass and both backward contractions of
-// Y = A.B without materialising any transpose:
+// Y = A.B without materialising a transposed copy of either operand:
 //
 //   gemm_nn      C  = A(m,k) . B(k,n)            forward
 //   gemm_nt_acc  C += A(m,t) . B(n,t)^T          dA += dY . B^T
 //   gemm_tn_acc  C += A(p,m)^T . B(p,n)          dB += A^T . dY
 //
-// Design (see DESIGN.md "Proposal fast path"):
-//  * Register blocking: 4-row x 32-column micro-tiles accumulated in
-//    locals so the compiler keeps them in vector registers.
-//  * Cache blocking over (k, n) with an optional packed-B panel: the
-//    panel is copied into a contiguous kc x nc buffer once per block and
-//    streamed by every row micro-tile (skipped for skinny A, where the
-//    pack traffic would exceed the reuse).
+// Design (see DESIGN.md "Kernel layer"):
+//  * One pair of micro-kernels serves all three: 4-row x 32-column C
+//    tiles accumulated in locals across a whole depth block, reading
+//    their A tile through (row, depth) strides so A^T (gemm_tn_acc)
+//    needs no copy.
+//  * Cache blocking over depth (kc = 256) and columns. gemm_nn and
+//    gemm_tn_acc stream kc x nc panels of B (packed into one contiguous
+//    buffer when enough row tiles reuse them, m >= 32; skinny products
+//    read B directly). gemm_nt_acc transposes one kc x 32 panel of B^T
+//    into a stack buffer per (depth block, column tile) and streams it
+//    through every row tile, so it never allocates.
+//  * Every C element is one fused multiply-add chain in increasing depth
+//    order, starting from C's incoming value.
 //  * OpenMP above a FLOP threshold, parallelised over ROW TILES ONLY --
-//    the k reduction is never split, so every C element is accumulated
-//    in exactly the same order on any thread count. Serial and parallel
-//    paths are bitwise identical by construction (pinned in test_gemm).
+//    the depth reduction is never split, so every C element is
+//    accumulated in exactly the same order on any thread count. Serial
+//    and parallel paths are bitwise identical by construction (pinned in
+//    test_gemm).
 //
 // All matrices are dense row-major, no aliasing between C and A/B.
 #pragma once

@@ -1,13 +1,12 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-
-#include "tensor/gemm.hpp"
 #include <cmath>
 #include <sstream>
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "tensor/gemm.hpp"
 
 namespace dt::tensor {
 
@@ -225,7 +224,7 @@ Tensor Tensor::reshape(Shape new_shape) const {
   auto out = make_op(std::move(new_shape), node_->value, {parent},
                      [](Node& self) {
                        Node& p = *self.parents[0];
-                       p.ensure_grad();
+                       if (!p.requires_grad) return;
                        for (std::size_t i = 0; i < p.grad.size(); ++i)
                          p.grad[i] += self.grad[i];
                      });
@@ -252,7 +251,7 @@ Tensor unary_op(const Tensor& a, Fwd fwd, Bwd dfdx) {
       a.shape(), std::move(out), {parent},
       [dfdx](Node& self) {
         Node& p = *self.parents[0];
-        p.ensure_grad();
+        if (!p.requires_grad) return;
         for (std::size_t i = 0; i < p.grad.size(); ++i)
           p.grad[i] += self.grad[i] * dfdx(p.value[i], self.value[i]);
       });
@@ -271,7 +270,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
                       [](Node& self) {
                         for (const auto& parent : self.parents) {
                           Node& p = *parent;
-                          p.ensure_grad();
+                          if (!p.requires_grad) continue;
                           for (std::size_t i = 0; i < p.grad.size(); ++i)
                             p.grad[i] += self.grad[i];
                         }
@@ -298,14 +297,13 @@ Tensor add_rowvec(const Tensor& a, const Tensor& b) {
       [rows, cols](Node& self) {
         Node& pa = *self.parents[0];
         Node& pb = *self.parents[1];
-        pa.ensure_grad();
-        pb.ensure_grad();
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t c = 0; c < cols; ++c) {
-            pa.grad[r * cols + c] += self.grad[r * cols + c];
-            pb.grad[c] += self.grad[r * cols + c];
-          }
-        }
+        if (pa.requires_grad)
+          for (std::size_t i = 0; i < rows * cols; ++i)
+            pa.grad[i] += self.grad[i];
+        if (pb.requires_grad)
+          for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < cols; ++c)
+              pb.grad[c] += self.grad[r * cols + c];
       });
   return Tensor(node);
 }
@@ -320,12 +318,13 @@ Tensor sub(const Tensor& a, const Tensor& b) {
                       [](Node& self) {
                         Node& pa = *self.parents[0];
                         Node& pb = *self.parents[1];
-                        pa.ensure_grad();
-                        pb.ensure_grad();
-                        for (std::size_t i = 0; i < self.grad.size(); ++i) {
-                          pa.grad[i] += self.grad[i];
-                          pb.grad[i] -= self.grad[i];
-                        }
+                        const std::size_t n = self.grad.size();
+                        if (pa.requires_grad)
+                          for (std::size_t i = 0; i < n; ++i)
+                            pa.grad[i] += self.grad[i];
+                        if (pb.requires_grad)
+                          for (std::size_t i = 0; i < n; ++i)
+                            pb.grad[i] -= self.grad[i];
                       });
   return Tensor(node);
 }
@@ -340,12 +339,13 @@ Tensor mul(const Tensor& a, const Tensor& b) {
                       [](Node& self) {
                         Node& pa = *self.parents[0];
                         Node& pb = *self.parents[1];
-                        pa.ensure_grad();
-                        pb.ensure_grad();
-                        for (std::size_t i = 0; i < self.grad.size(); ++i) {
-                          pa.grad[i] += self.grad[i] * pb.value[i];
-                          pb.grad[i] += self.grad[i] * pa.value[i];
-                        }
+                        const std::size_t n = self.grad.size();
+                        if (pa.requires_grad)
+                          for (std::size_t i = 0; i < n; ++i)
+                            pa.grad[i] += self.grad[i] * pb.value[i];
+                        if (pb.requires_grad)
+                          for (std::size_t i = 0; i < n; ++i)
+                            pb.grad[i] += self.grad[i] * pa.value[i];
                       });
   return Tensor(node);
 }
@@ -424,13 +424,13 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
       {a.node(), b.node()}, [rows, ca, cb](Node& self) {
         Node& pa = *self.parents[0];
         Node& pb = *self.parents[1];
-        pa.ensure_grad();
-        pb.ensure_grad();
         for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t c = 0; c < ca; ++c)
-            pa.grad[r * ca + c] += self.grad[r * (ca + cb) + c];
-          for (std::size_t c = 0; c < cb; ++c)
-            pb.grad[r * cb + c] += self.grad[r * (ca + cb) + ca + c];
+          const float* g = &self.grad[r * (ca + cb)];
+          if (pa.requires_grad)
+            for (std::size_t c = 0; c < ca; ++c) pa.grad[r * ca + c] += g[c];
+          if (pb.requires_grad)
+            for (std::size_t c = 0; c < cb; ++c)
+              pb.grad[r * cb + c] += g[ca + c];
         }
       });
   return Tensor(node);
@@ -454,14 +454,84 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       [rows, inner, cols](Node& self) {
         Node& pa = *self.parents[0];
         Node& pb = *self.parents[1];
-        pa.ensure_grad();
-        pb.ensure_grad();
         // dA += dY . B^T
-        gemm_nt_acc(rows, inner, cols, self.grad.data(), pb.value.data(),
-                    pa.grad.data());
+        if (pa.requires_grad)
+          gemm_nt_acc(rows, inner, cols, self.grad.data(), pb.value.data(),
+                      pa.grad.data());
         // dB += A^T . dY
-        gemm_tn_acc(rows, inner, cols, pa.value.data(), self.grad.data(),
-                    pb.grad.data());
+        if (pb.requires_grad)
+          gemm_tn_acc(rows, inner, cols, pa.value.data(), self.grad.data(),
+                      pb.grad.data());
+      });
+  return Tensor(node);
+}
+
+Tensor onehot_matmul(std::span<const std::uint8_t> idx, std::int64_t classes,
+                     const Tensor& tail, const Tensor& w) {
+  DT_CHECK_MSG(w.shape().size() == 2 && classes > 0,
+               "onehot_matmul: W must be 2-D, classes positive");
+  const auto n = static_cast<std::size_t>(w.shape()[1]);
+  const auto c = static_cast<std::size_t>(classes);
+  const std::size_t tail_cols =
+      tail.defined() ? static_cast<std::size_t>(tail.dim(1)) : 0;
+  const auto w_rows = static_cast<std::size_t>(w.shape()[0]);
+  DT_CHECK_MSG(w_rows > tail_cols && (w_rows - tail_cols) % c == 0,
+               "onehot_matmul: W " << to_string(w.shape())
+                                   << " does not fit the one-hot columns");
+  const std::size_t sites = (w_rows - tail_cols) / c;
+  DT_CHECK_MSG(!idx.empty() && idx.size() % sites == 0,
+               "onehot_matmul: index count is not a multiple of " << sites);
+  const std::size_t rows = idx.size() / sites;
+  DT_CHECK_MSG(!tail.defined() ||
+                   (tail.shape().size() == 2 &&
+                    static_cast<std::size_t>(tail.dim(0)) == rows &&
+                    !tail.requires_grad()),
+               "onehot_matmul: tail must be a constant (" << rows << ", T)");
+  for (const std::uint8_t v : idx)
+    DT_CHECK_MSG(v < c, "onehot_matmul: index out of range");
+
+  // Row r sums W[i*c + idx] over sites i in increasing order: the dense
+  // product's k order with its zero terms (fma(0, w, acc) == acc)
+  // dropped. Site-major, so a site's W rows stay cached while every row
+  // of the batch picks one.
+  const float* wv = w.node()->value.data();
+  std::vector<float> out(rows * n, 0.0f);
+  for (std::size_t i = 0; i < sites; ++i) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* __restrict orow = &out[r * n];
+      const float* __restrict wrow = wv + (i * c + idx[r * sites + i]) * n;
+      for (std::size_t j = 0; j < n; ++j) orow[j] += wrow[j];
+    }
+  }
+  const std::size_t tail_off = sites * c * n;  // first tail row of W
+  if (tail_cols > 0)
+    gemm_nn_acc(rows, tail_cols, n, tail.data().data(), wv + tail_off,
+                out.data());
+
+  std::vector<std::shared_ptr<Node>> parents{w.node()};
+  if (tail_cols > 0) parents.push_back(tail.node());
+  auto node = make_op(
+      {static_cast<std::int64_t>(rows), w.shape()[1]}, std::move(out),
+      std::move(parents),
+      [rows, sites, c, n, tail_cols, tail_off,
+       ids = std::vector<std::uint8_t>(idx.begin(), idx.end())](Node& self) {
+        Node& pw = *self.parents[0];
+        const float* dy = self.grad.data();
+        if (pw.requires_grad) {
+          // dW += X^T . dY: each W row collects dY rows in increasing
+          // order, as gemm_tn_acc does.
+          for (std::size_t i = 0; i < sites; ++i) {
+            for (std::size_t r = 0; r < rows; ++r) {
+              const float* __restrict g = dy + r * n;
+              float* __restrict dw =
+                  pw.grad.data() + (i * c + ids[r * sites + i]) * n;
+              for (std::size_t j = 0; j < n; ++j) dw[j] += g[j];
+            }
+          }
+          if (tail_cols > 0)
+            gemm_tn_acc(rows, tail_cols, n, self.parents[1]->value.data(), dy,
+                        pw.grad.data() + tail_off);
+        }
       });
   return Tensor(node);
 }
@@ -472,7 +542,7 @@ Tensor sum(const Tensor& a) {
   for (float x : av) acc += x;
   auto node = make_op({1}, {acc}, {a.node()}, [](Node& self) {
     Node& p = *self.parents[0];
-    p.ensure_grad();
+    if (!p.requires_grad) return;
     for (std::size_t i = 0; i < p.grad.size(); ++i)
       p.grad[i] += self.grad[0];
   });
@@ -504,7 +574,7 @@ Tensor log_softmax(const Tensor& logits) {
       logits.shape(), std::move(out), {logits.node()},
       [rows, cols](Node& self) {
         Node& p = *self.parents[0];
-        p.ensure_grad();
+        if (!p.requires_grad) return;
         // d logits = dY - softmax * sum(dY) per row.
         for (std::size_t r = 0; r < rows; ++r) {
           float gsum = 0.0f;
@@ -521,15 +591,16 @@ Tensor log_softmax(const Tensor& logits) {
 }
 
 Tensor cross_entropy_with_logits(const Tensor& logits,
-                                 const std::vector<std::int32_t>& labels) {
+                                 std::span<const std::uint8_t> labels) {
   DT_CHECK_MSG(logits.shape().size() == 2, "cross_entropy expects 2-D logits");
   const auto rows = static_cast<std::size_t>(logits.shape()[0]);
   const auto cols = static_cast<std::size_t>(logits.shape()[1]);
   DT_CHECK_MSG(labels.size() == rows, "cross_entropy: label count mismatch");
   const auto& lv = logits.node()->value;
 
-  // Cache per-row log-softmax for the backward pass.
-  auto log_probs = std::make_shared<std::vector<float>>(lv.size());
+  // Per-element softmax - onehot, the gradient up to the 1/R and upstream
+  // scale: computed here so the backward pass keeps no copy of labels.
+  std::vector<float> dlogits(lv.size());
   float loss = 0.0f;
   for (std::size_t r = 0; r < rows; ++r) {
     const float* row = &lv[r * cols];
@@ -538,30 +609,23 @@ Tensor cross_entropy_with_logits(const Tensor& logits,
     float z = 0.0f;
     for (std::size_t c = 0; c < cols; ++c) z += std::exp(row[c] - hi);
     const float log_z = hi + std::log(z);
-    for (std::size_t c = 0; c < cols; ++c)
-      (*log_probs)[r * cols + c] = row[c] - log_z;
-    const auto label = static_cast<std::size_t>(labels[r]);
+    const std::size_t label = labels[r];
     DT_CHECK(label < cols);
-    loss -= (*log_probs)[r * cols + label];
+    loss -= row[label] - log_z;
+    float* d = &dlogits[r * cols];
+    for (std::size_t c = 0; c < cols; ++c)
+      d[c] = std::exp(row[c] - log_z) - (c == label ? 1.0f : 0.0f);
   }
   loss /= static_cast<float>(rows);
 
-  auto labels_copy = std::make_shared<std::vector<std::int32_t>>(labels);
-  auto node = make_op(
-      {1}, {loss}, {logits.node()},
-      [rows, cols, log_probs, labels_copy](Node& self) {
-        Node& p = *self.parents[0];
-        p.ensure_grad();
-        const float g = self.grad[0] / static_cast<float>(rows);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const auto label = static_cast<std::size_t>((*labels_copy)[r]);
-          for (std::size_t c = 0; c < cols; ++c) {
-            const float soft = std::exp((*log_probs)[r * cols + c]);
-            p.grad[r * cols + c] +=
-                g * (soft - (c == label ? 1.0f : 0.0f));
-          }
-        }
-      });
+  auto node = make_op({1}, {loss}, {logits.node()},
+                      [rows, dl = std::move(dlogits)](Node& self) {
+                        Node& p = *self.parents[0];
+                        if (!p.requires_grad) return;
+                        const float g = self.grad[0] / static_cast<float>(rows);
+                        for (std::size_t i = 0; i < p.grad.size(); ++i)
+                          p.grad[i] += g * dl[i];
+                      });
   return Tensor(node);
 }
 

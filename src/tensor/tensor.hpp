@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,17 @@ Tensor concat_cols(const Tensor& a, const Tensor& b);
 /// (R, K) x (K, C) -> (R, C).
 Tensor matmul(const Tensor& a, const Tensor& b);
 
+/// [onehot(idx) | tail] x W -> (R, N) without the dense one-hot matrix.
+/// `idx` holds R*S category indices in [0, classes), S = sites per row;
+/// `tail` (R, T) is an optional constant (undefined: T = 0); W is
+/// (S*classes + T, N). Forward gathers and sums W rows, backward
+/// scatter-adds dY into them; only W gets a gradient. Each element adds
+/// its nonzero terms in increasing k order and x in {0,1} makes every
+/// product exact, so values and dW are bitwise those of matmul over the
+/// dense one-hot input.
+Tensor onehot_matmul(std::span<const std::uint8_t> idx, std::int64_t classes,
+                     const Tensor& tail, const Tensor& w);
+
 // ---- reductions ----
 Tensor sum(const Tensor& a);
 Tensor mean(const Tensor& a);
@@ -163,10 +175,10 @@ Tensor mean(const Tensor& a);
 // ---- NN-specific fused ops ----
 /// log softmax over the last axis of a 2-D tensor.
 Tensor log_softmax(const Tensor& logits);
-/// Mean cross-entropy of 2-D logits (R, C) against integer labels (size R).
-/// Fused softmax backward (prob - onehot)/R.
+/// Mean cross-entropy of 2-D logits (R, C) against class labels (size R,
+/// each < C). Fused softmax backward (prob - onehot)/R.
 Tensor cross_entropy_with_logits(const Tensor& logits,
-                                 const std::vector<std::int32_t>& labels);
+                                 std::span<const std::uint8_t> labels);
 
 // operator sugar
 inline Tensor operator+(const Tensor& a, const Tensor& b) { return add(a, b); }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -144,6 +145,85 @@ TEST(GemmTnAcc, AccumulatesGradIntoNonzeroOutput) {
   expect_close(got, want, m);
 }
 
+// (m, n, t) shapes of the backward kernels: a row count that is not a
+// multiple of the 4-row tile, column counts off the 32-column tile, and
+// depths past and off the 256-deep cache block, then the VAE's own:
+// the decoder's dh = dlogits . W^T (32 x 96 x 8000) and the latent
+// layer's dz at latent 12 and 13 (12 + one condition column).
+const Shape kBackwardShapes[] = {
+    {5, 33, 300}, {7, 65, 513}, {3, 1, 257}, {1, 31, 600},
+    {32, 96, 8000}, {32, 12, 96}, {32, 13, 96},
+};
+
+// Double-precision references, so the comparison tolerance only has to
+// cover the kernels' own float rounding.
+std::vector<float> naive_nt_acc(std::int64_t m, std::int64_t n, std::int64_t t,
+                                const std::vector<float>& a,
+                                const std::vector<float>& b,
+                                std::vector<float> c) {
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::int64_t tt = 0; tt < t; ++tt)
+        acc += static_cast<double>(a[static_cast<std::size_t>(i * t + tt)]) *
+               static_cast<double>(b[static_cast<std::size_t>(j * t + tt)]);
+      c[static_cast<std::size_t>(i * n + j)] += static_cast<float>(acc);
+    }
+  return c;
+}
+
+std::vector<float> naive_tn_acc(std::int64_t p, std::int64_t m, std::int64_t n,
+                                const std::vector<float>& a,
+                                const std::vector<float>& b,
+                                std::vector<float> c) {
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::int64_t tt = 0; tt < p; ++tt)
+        acc += static_cast<double>(a[static_cast<std::size_t>(tt * m + i)]) *
+               static_cast<double>(b[static_cast<std::size_t>(tt * n + j)]);
+      c[static_cast<std::size_t>(i * n + j)] += static_cast<float>(acc);
+    }
+  return c;
+}
+
+TEST(GemmNtAcc, MatchesNaiveOnEdgeAndVaeShapes) {
+  std::uint64_t salt = 0;
+  for (const Shape& s : kBackwardShapes) {
+    // Shape reads as (m, n, t) here: C(m,n) += A(m,t) . B(n,t)^T.
+    const std::int64_t m = s.m, n = s.k, t = s.n;
+    const auto a = random_matrix(m, t, 600 + salt);
+    const auto b = random_matrix(n, t, 700 + salt);
+    const auto init = random_matrix(m, n, 800 + salt);
+    ++salt;
+    std::vector<float> got = init;
+    gemm_nt_acc(static_cast<std::size_t>(m), static_cast<std::size_t>(n),
+                static_cast<std::size_t>(t), a.data(), b.data(), got.data());
+    SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                 " t=" + std::to_string(t));
+    expect_close(got, naive_nt_acc(m, n, t, a, b, init), t);
+  }
+}
+
+TEST(GemmTnAcc, MatchesNaiveOnEdgeAndVaeShapes) {
+  std::uint64_t salt = 0;
+  for (const Shape& s : kBackwardShapes) {
+    // C(m,n) += A(p,m)^T . B(p,n) with the batch as the depth p: the
+    // weight gradient dW += X^T . dY of the same layers.
+    const std::int64_t p = s.m, m = s.k, n = s.n;
+    const auto a = random_matrix(p, m, 900 + salt);
+    const auto b = random_matrix(p, n, 1000 + salt);
+    const auto init = random_matrix(m, n, 1100 + salt);
+    ++salt;
+    std::vector<float> got = init;
+    gemm_tn_acc(static_cast<std::size_t>(p), static_cast<std::size_t>(m),
+                static_cast<std::size_t>(n), a.data(), b.data(), got.data());
+    SCOPED_TRACE("p=" + std::to_string(p) + " m=" + std::to_string(m) +
+                 " n=" + std::to_string(n));
+    expect_close(got, naive_tn_acc(p, m, n, a, b, init), p);
+  }
+}
+
 // The OpenMP path must be a pure scheduling change: forcing parallel vs
 // serial on a shape above the auto threshold gives bitwise-equal output
 // (the k reduction is never split across threads).
@@ -176,6 +256,31 @@ TEST(GemmMode, ParallelIsBitwiseEqualToSerial) {
   gemm_tn_acc(m, k, n, a.data(), serial.data(), accb_p.data(),
               GemmMode::kParallel);
   EXPECT_EQ(accb_s, accb_p);
+
+  // Both backward kernels on the edge and VAE shapes, each forced both
+  // ways (kParallel also below the kAuto threshold).
+  std::uint64_t salt = 0;
+  for (const Shape& s : kBackwardShapes) {
+    const auto sm = static_cast<std::size_t>(s.m);
+    const auto sk = static_cast<std::size_t>(s.k);
+    const auto sn = static_cast<std::size_t>(s.n);
+    const auto x = random_matrix(s.m, s.n, 1200 + salt);
+    const auto y = random_matrix(s.k, s.n, 1300 + salt);
+    const auto z = random_matrix(s.m, s.k, 1400 + salt);
+    ++salt;
+    std::vector<float> nt_s(sm * sk, 0.5F), nt_p(sm * sk, 0.5F);
+    gemm_nt_acc(sm, sk, sn, x.data(), y.data(), nt_s.data(),
+                GemmMode::kSerial);
+    gemm_nt_acc(sm, sk, sn, x.data(), y.data(), nt_p.data(),
+                GemmMode::kParallel);
+    EXPECT_EQ(nt_s, nt_p) << "nt m=" << s.m << " n=" << s.k << " t=" << s.n;
+    std::vector<float> tn_s(sk * sn, -0.25F), tn_p(sk * sn, -0.25F);
+    gemm_tn_acc(sm, sk, sn, z.data(), x.data(), tn_s.data(),
+                GemmMode::kSerial);
+    gemm_tn_acc(sm, sk, sn, z.data(), x.data(), tn_p.data(),
+                GemmMode::kParallel);
+    EXPECT_EQ(tn_s, tn_p) << "tn p=" << s.m << " m=" << s.k << " n=" << s.n;
+  }
 }
 
 // Packing is a pure layout change: the packed overloads must be bitwise

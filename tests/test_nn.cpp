@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "nn/module.hpp"
@@ -62,7 +64,7 @@ TEST(Mlp, CanFitXor) {
   tensor::Adam opt(mlp->parameters(), 0.05f);
   const auto x =
       tensor::Tensor::from_data({4, 2}, {0, 0, 0, 1, 1, 0, 1, 1});
-  const std::vector<std::int32_t> labels = {0, 1, 1, 0};
+  const std::vector<std::uint8_t> labels = {0, 1, 1, 0};
   float loss_val = 0;
   for (int i = 0; i < 300; ++i) {
     auto loss = tensor::cross_entropy_with_logits(mlp->forward(x), labels);
@@ -140,13 +142,10 @@ TEST(Vae, LossDecreasesWithTraining) {
   for (int b = 0; b < 8; ++b)
     for (int i = 0; i < 16; ++i)
       occ.push_back(static_cast<std::uint8_t>((i + b) % 4));
-  const auto onehot = vae.one_hot(occ, 8);
-  const auto x = tensor::Tensor::from_data({8, 64}, onehot);
-  std::vector<std::int32_t> labels(occ.begin(), occ.end());
 
   float first = 0, last = 0;
   for (int step = 0; step < 60; ++step) {
-    auto parts = vae.loss(x, labels, eps);
+    auto parts = vae.loss(occ, 8, eps);
     parts.total.backward();
     opt.step();
     if (step == 0) first = parts.total.item();
@@ -159,12 +158,96 @@ TEST(Vae, LossPartsAreConsistent) {
   Vae vae(small_opts(), 6);
   Xoshiro256ss eps(7);
   std::vector<std::uint8_t> occ(16, 1);
-  const auto x = tensor::Tensor::from_data({1, 64}, vae.one_hot(occ, 1));
-  const std::vector<std::int32_t> labels(occ.begin(), occ.end());
-  const auto parts = vae.loss(x, labels, eps);
+  const auto parts = vae.loss(occ, 1, eps);
   EXPECT_NEAR(parts.total.item(), parts.reconstruction + parts.kl, 1e-4f);
   EXPECT_GE(parts.kl, -1e-5f);             // KL >= 0
   EXPECT_GT(parts.reconstruction, 0.0f);   // NLL > 0
+}
+
+struct LossAndGrads {
+  float total = 0;
+  std::vector<std::vector<float>> grads;  // one per Vae::parameters() entry
+};
+
+LossAndGrads backprop(Vae& vae, tensor::Tensor total) {
+  total.backward();
+  LossAndGrads out{total.item(), {}};
+  for (const auto& p : vae.parameters()) out.grads.push_back(p.grad());
+  return out;
+}
+
+/// Vae::loss recomposed from tensor ops over the dense one-hot batch:
+/// the encoder as it was before the sparse one-hot path.
+LossAndGrads dense_loss(Vae& vae, const std::vector<std::uint8_t>& occ,
+                        std::int64_t batch, const std::vector<float>& conds,
+                        std::uint64_t eps_seed) {
+  using namespace tensor;
+  const VaeOptions& o = vae.options();
+  const auto p = vae.parameters();
+  const auto linear = [&p](const Tensor& in, std::size_t i) {
+    return add_rowvec(matmul(in, p[i]), p[i + 1]);
+  };
+  Tensor x = Tensor::from_data({batch, vae.input_dim()}, vae.one_hot(occ, batch));
+  Tensor cond;
+  if (o.condition_dim > 0) {
+    cond = Tensor::from_data({batch, o.condition_dim}, conds);
+    x = concat_cols(x, cond);
+  }
+  const Tensor h = tanh(linear(x, 0));
+  const Tensor mu = linear(h, 2);
+  const Tensor logvar = linear(h, 4);
+  Xoshiro256ss eps_rng(eps_seed);
+  const Tensor eps = Tensor::randn({batch, o.latent}, 1.0f, eps_rng);
+  Tensor z = mu + exp(scale(logvar, 0.5f)) * eps;
+  if (o.condition_dim > 0) z = concat_cols(z, cond);
+  const Tensor logits = linear(tanh(linear(z, 6)), 8);
+  const Tensor recon = scale(
+      cross_entropy_with_logits(
+          logits.reshape({batch * o.n_sites, o.n_species}), occ),
+      static_cast<float>(o.n_sites));
+  const Tensor kl =
+      scale(sum(add_scalar(logvar, 1.0f) - square(mu) - exp(logvar)),
+            -0.5f / static_cast<float>(batch));
+  return backprop(vae, recon + scale(kl, o.kl_weight));
+}
+
+// The sparse one-hot encoder (gather-sum forward, scatter-add dW) must
+// reproduce the dense one-hot GEMM bit for bit: loss and every parameter
+// gradient, with and without a condition tail, on shapes whose one-hot
+// width is and is not a multiple of the GEMM's 4-row tile.
+TEST(Vae, SparseEncoderLossIsBitwiseTheDenseOneHotLoss) {
+  struct Case {
+    std::int32_t n_sites, n_species, condition_dim;
+    std::int64_t batch;
+  };
+  for (const Case& c : {Case{16, 4, 0, 8}, Case{16, 4, 1, 8},
+                        Case{15, 3, 2, 5}, Case{15, 3, 0, 33}}) {
+    VaeOptions o = small_opts();
+    o.n_sites = c.n_sites;
+    o.n_species = c.n_species;
+    o.condition_dim = c.condition_dim;
+    Vae vae(o, 21);
+    Xoshiro256ss rng(22);
+    std::vector<std::uint8_t> occ(
+        static_cast<std::size_t>(c.batch * c.n_sites));
+    for (auto& s : occ)
+      s = static_cast<std::uint8_t>(
+          uniform_index(rng, static_cast<std::uint64_t>(c.n_species)));
+    std::vector<float> conds(
+        static_cast<std::size_t>(c.batch * c.condition_dim));
+    for (auto& v : conds) v = static_cast<float>(uniform01(rng));
+
+    const LossAndGrads dense = dense_loss(vae, occ, c.batch, conds, 23);
+    Xoshiro256ss eps(23);
+    const LossAndGrads sparse =
+        backprop(vae, vae.loss(occ, c.batch, eps, conds).total);
+    EXPECT_EQ(sparse.total, dense.total) << "sites " << c.n_sites;
+    ASSERT_EQ(sparse.grads.size(), dense.grads.size());
+    for (std::size_t i = 0; i < dense.grads.size(); ++i)
+      EXPECT_EQ(sparse.grads[i], dense.grads[i])
+          << "parameter " << i << ", sites " << c.n_sites << ", condition "
+          << c.condition_dim;
+  }
 }
 
 TEST(Vae, SaveLoadRoundTrip) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <utility>
 
@@ -130,8 +131,21 @@ TEST(Ops, LogSoftmaxRowsSumToOne) {
 TEST(Ops, CrossEntropyForwardValue) {
   // Uniform logits: CE = ln(C).
   const auto logits = Tensor::from_data({2, 4}, std::vector<float>(8, 0.0f));
-  const auto loss = cross_entropy_with_logits(logits, {0, 3});
+  const auto loss =
+      cross_entropy_with_logits(logits, std::vector<std::uint8_t>{0, 3});
   EXPECT_NEAR(loss.item(), std::log(4.0f), 1e-6);
+}
+
+TEST(Ops, OnehotMatmulRejectsBadInput) {
+  const auto w = Tensor::zeros({2 * 3 + 1, 4}, /*requires_grad=*/true);
+  const auto tail = Tensor::zeros({1, 1});
+  const std::vector<std::uint8_t> ok = {0, 2};
+  const std::vector<std::uint8_t> out_of_range = {0, 3};
+  EXPECT_EQ(onehot_matmul(ok, 3, tail, w).shape(), (Shape{1, 4}));
+  EXPECT_THROW((void)onehot_matmul(out_of_range, 3, tail, w), dt::Error);
+  // The tail gets no gradient, so a trainable one is refused.
+  const auto trainable = Tensor::zeros({1, 1}, /*requires_grad=*/true);
+  EXPECT_THROW((void)onehot_matmul(ok, 3, trainable, w), dt::Error);
 }
 
 // ---- gradient checks: autograd vs central finite differences ----
@@ -219,7 +233,8 @@ TEST(Grad, LogSoftmax) {
 TEST(Grad, CrossEntropy) {
   check_gradients({3, 4}, {1, 2, 0.5, -1, 0, 1, 2, 3, -2, 0.5, 1, 0},
                   [](Tensor& x) {
-                    return cross_entropy_with_logits(x, {1, 3, 0});
+                    return cross_entropy_with_logits(
+                        x, std::vector<std::uint8_t>{1, 3, 0});
                   });
 }
 
@@ -264,6 +279,42 @@ TEST(Autograd, SecondBackwardOverwritesGrads) {
   auto loss2 = scale(x, 3.0f);
   loss2.backward();
   EXPECT_EQ(x.grad()[0], 3.0f);  // overwritten, not accumulated
+}
+
+// Constant operands get no gradient: every op's backward skips parents
+// with requires_grad == false, so no constant ever grows a gradient
+// buffer (Tensor::backward only zeroes the buffers of trainable nodes, so
+// one would accumulate across calls), and a second backward() leaves the
+// trainable gradients exactly as the first.
+TEST(Autograd, ConstantOperandsGetNoGradient) {
+  auto x = Tensor::from_data({2, 3}, {0.5f, -1, 2, 0.25f, 1.5f, -0.75f}, true);
+  auto w = Tensor::from_data({3, 3}, {1, -2, 0.5f, 3, 0.1f, -1, 2, 1, 0.3f},
+                             true);
+  auto bias = Tensor::from_data({3}, {0.2f, -0.1f, 0.4f}, true);
+  const auto c = Tensor::from_data({2, 3}, {1, 2, -3, 0.5f, -0.5f, 4});
+  const auto cw = Tensor::from_data({3, 3}, {0.3f, -1, 2, 1, 1, -0.2f, 0.7f,
+                                             -0.4f, 1});
+  const auto cv = Tensor::from_data({3}, {1, -1, 0.5f});
+  const auto cc = Tensor::from_data({2, 2}, {0.1f, 0.2f, 0.3f, 0.4f});
+  const std::vector<std::uint8_t> labels = {2, 0};
+
+  const auto build = [&] {
+    Tensor y = add(x, c) + add(c, x) + sub(x, c) + sub(c, x) + mul(x, c) +
+               mul(c, x) + add_rowvec(c, bias) + add_rowvec(x, cv) +
+               matmul(c, w) + matmul(x, cw) +
+               mul(x, tanh(c).reshape({2, 3}));
+    const Tensor cat = concat_cols(concat_cols(y, cc), concat_cols(cc, x));
+    return sum(square(cat)) + sum(log_softmax(y)) +
+           cross_entropy_with_logits(y, labels) + sum(exp(scale(x, 0.1f)));
+  };
+  build().backward();
+  const std::vector<float> gx = x.grad(), gw = w.grad(), gb = bias.grad();
+  build().backward();
+  EXPECT_EQ(x.grad(), gx);
+  EXPECT_EQ(w.grad(), gw);
+  EXPECT_EQ(bias.grad(), gb);
+  for (const Tensor* k : {&c, &cw, &cv, &cc})
+    EXPECT_TRUE(k->node()->grad.empty());
 }
 
 TEST(Shape, Helpers) {
