@@ -46,7 +46,7 @@ void BM_TotalEnergy(benchmark::State& state) {
     benchmark::DoNotOptimize(sys.ham.total_energy(cfg));
   state.SetItemsProcessed(state.iterations() * sys.lat.num_sites());
 }
-BENCHMARK(BM_TotalEnergy)->Arg(4)->Arg(8);
+BENCHMARK(BM_TotalEnergy)->Arg(4)->Arg(8)->Arg(10);
 
 // Sparse changed-site energy walk vs the full recompute it replaces.
 // range(1) = number of random swaps in the candidate (2 changed sites
@@ -64,13 +64,51 @@ void BM_AssignDelta(benchmark::State& state) {
     std::swap(candidate[a], candidate[b]);
   }
   lattice::DeltaWorkspace ws;
+  std::int32_t changed = 0;
   for (auto _ : state) {
     const auto d = sys.ham.assign_delta(cfg, candidate, ws);
+    changed = d.n_changed;
     benchmark::DoNotOptimize(d.delta_energy);
   }
+  state.counters["changed"] = changed;
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AssignDelta)->Args({8, 8})->Args({8, 64})->Args({8, 512});
+// {10, *} brackets the VaeProposal sparse/full crossover at N = 2000
+// (compare with BM_TotalEnergy/10).
+BENCHMARK(BM_AssignDelta)
+    ->Args({8, 8})
+    ->Args({8, 64})
+    ->Args({8, 512})
+    ->Args({10, 64})
+    ->Args({10, 128})
+    ->Args({10, 192})
+    ->Args({10, 256})
+    ->Args({10, 384})
+    ->Args({10, 1024});
+
+// n = range(0) uniforms, one per site of a VAE proposal at N = 2000:
+// the bulk fill against the same draws taken one call at a time.
+void BM_Uniform01Fill(benchmark::State& state) {
+  mc::Rng rng(13, 0);
+  std::vector<double> u(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.fill_uniform01(u);
+    benchmark::DoNotOptimize(u.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Uniform01Fill)->Arg(2000);
+
+void BM_Uniform01Loop(benchmark::State& state) {
+  mc::Rng rng(13, 0);
+  std::vector<double> u(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (auto& v : u) v = uniform01(rng);
+    benchmark::DoNotOptimize(u.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Uniform01Loop)->Arg(2000);
 
 void BM_WangLandauSweep(benchmark::State& state) {
   System sys(static_cast<int>(state.range(0)));

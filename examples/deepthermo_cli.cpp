@@ -51,8 +51,9 @@ vae_epochs = 12
 # default). Pure performance knobs -- sampled sequences are bitwise
 # identical for any setting (see README "Performance tuning").
 decode_batch = 0
-# coalesce walker decode refills into fused cross-walker GEMMs
-decode_plane = true
+# coalesce walker decode refills into fused cross-walker GEMMs (off:
+# each walker decodes its own buffer, which measured faster)
+decode_plane = false
 # max microseconds a plane leader waits for stragglers before serving a
 # partial batch
 decode_plane_window_us = 200
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
   opts.vae.epochs = static_cast<int>(cfg.get_int("vae_epochs", 12));
   opts.vae_decode_batch =
       static_cast<std::int32_t>(cfg.get_int("decode_batch", 0));
-  opts.decode_plane = cfg.get_bool("decode_plane", true);
+  opts.decode_plane = cfg.get_bool("decode_plane", false);
   opts.decode_plane_window_us = cfg.get_int("decode_plane_window_us", 200);
   opts.production_sweeps = cfg.get_int("production_sweeps", 0);
   opts.checkpoint_dir = cfg.get_string("checkpoint_dir", "");

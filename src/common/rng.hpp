@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace dt {
 
@@ -85,6 +86,13 @@ class Philox4x32 {
   }
 
   result_type operator()();
+
+  /// Fill `out` with doubles bitwise equal to out.size() successive
+  /// uniform01(*this) calls, and leave position() where those calls
+  /// would. Whole blocks are computed lane-parallel across counters
+  /// (one uniform01 call is bound by the latency of the Philox rounds),
+  /// so this is the cheap way to take many uniforms at once.
+  void fill_uniform01(std::span<double> out);
 
   /// Position the counter at an absolute draw index (units of 32-bit draws).
   void seek(std::uint64_t draw_index);

@@ -95,9 +95,11 @@ struct DeepThermoOptions {
   /// Route every walker's decode-ahead refill through one shared
   /// cross-walker decode plane (see core/decode_plane.hpp): refills
   /// coalesce into fused multi-walker GEMMs against a packed-weight
-  /// cache, with double-buffered prefetch per walker. Pure performance
-  /// knob -- proposals are bitwise identical either way.
-  bool decode_plane = true;
+  /// cache, with double-buffered prefetch per walker. Off by default:
+  /// each walker decoding its own K-row buffer measured faster end to
+  /// end (README "Performance tuning"). Pure performance knob --
+  /// proposals are bitwise identical either way.
+  bool decode_plane = false;
   /// Max microseconds a plane leader waits for stragglers before serving
   /// a partial batch (see DecodePlane::Options::window_us).
   std::int64_t decode_plane_window_us = 200;

@@ -1,5 +1,6 @@
 #include "core/vae_proposal.hpp"
 
+#include <bit>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -26,6 +27,26 @@ constexpr std::uint64_t kDrawsPerNormal = 4;
 
 constexpr std::uint32_t kStateMagic = 0x31465056u;  // "VPF1"
 
+/// 1.0 if `b`, else +0.0, built from bits so that it compiles to a mask
+/// and never to a branch. Subtracting +0.0 leaves any budget unchanged,
+/// so `r -= one_if(k == chosen)` is bitwise `if (k == chosen) r -= 1.0`.
+inline double one_if(bool b) {
+  return std::bit_cast<double>((std::uint64_t{0} - std::uint64_t{b}) &
+                               std::bit_cast<std::uint64_t>(1.0));
+}
+
+/// The k-th of four values (k < 4), selected through bit masks: no
+/// memory round trip, and no branch on k (which is random per site).
+inline double pick4(std::size_t k, double v0, double v1, double v2,
+                    double v3) {
+  const auto pick = [k](std::size_t j, double v) {
+    return (std::uint64_t{0} - std::uint64_t{k == j}) &
+           std::bit_cast<std::uint64_t>(v);
+  };
+  return std::bit_cast<double>(pick(0, v0) | pick(1, v1) | pick(2, v2) |
+                               pick(3, v3));
+}
+
 /// The derived latent-stream key for a walker's physics-stream key --
 /// shared by the local refill path and every plane request, so the plane
 /// regenerates exactly the z sequence the walker itself would draw.
@@ -42,6 +63,7 @@ VaeProposal::VaeProposal(const lattice::EpiHamiltonian& hamiltonian,
   DT_CHECK(vae_ != nullptr);
   remaining_.resize(static_cast<std::size_t>(vae_->options().n_species));
   candidate_.resize(static_cast<std::size_t>(vae_->options().n_sites));
+  uniforms_.resize(static_cast<std::size_t>(vae_->options().n_sites));
   auto& metrics = obs::MetricsRegistry::global();
   decode_batches_ = &metrics.counter("kernel.vae.decode.batches");
   decode_decoded_ = &metrics.counter("kernel.vae.decode.decoded");
@@ -250,44 +272,58 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
   const auto occ = cfg.occupancy();
   saved_.assign(occ.begin(), occ.end());
 
-  // 3. Constrained sequential sampling of the candidate (n uniforms from
-  // the physics stream -- the ONLY draws this kernel takes from it).
-  remaining_.assign(s, 0.0);
-  for (std::uint8_t sp : saved_) remaining_[sp] += 1.0;
+  // 3. Constrained sequential sampling of the candidate. Its n uniforms
+  // are the ONLY draws this kernel takes from the physics stream; one
+  // bulk fill takes exactly the values n uniform01 calls would.
+  rng.fill_uniform01(uniforms_);
+  const auto comp = cfg.composition();
+  for (std::size_t k = 0; k < s; ++k)
+    remaining_[k] = static_cast<double>(comp[k]);
 
   double log_q_fwd = 0.0;
   double log_q_rev = 0.0;
   double run_fwd = 1.0;  // product of ratios, flushed before underflow
+  std::size_t n_changed = 0;
   if (s == 4) {
-    // Quaternary fast path: unrolled weights, a branchless
-    // cumulative-interval pick (the chosen species is random, so a
-    // scan-with-break mispredicts on most sites; three flag adds do
-    // not), and the reverse density of the CURRENT state fused into the
-    // same pass -- both sequential processes start from the same species
-    // counts and read the same probs block per site.
-    double rem_f[4];  // forward budget (follows the candidate)
-    double rem_r[4];  // reverse budget (follows the saved state)
-    for (std::size_t k = 0; k < 4; ++k) rem_f[k] = rem_r[k] = remaining_[k];
-    double run_rev = 1.0;
+    // Quaternary fast path. The loop-carried state is the species budget,
+    // so it is kept short: budgets live in registers and are decremented
+    // through per-species masks (a select, not an indexed store), and the
+    // pick is a branchless cumulative-interval count (the chosen species
+    // is random, so a scan-with-break mispredicts on most sites; three
+    // flag adds do not). The reverse density gets its own pass below: its
+    // budget follows the saved state, not the candidate.
+    const double* uni = uniforms_.data();
+    const std::uint8_t* saved = saved_.data();
+    std::uint8_t* cand = candidate_.data();
+    double r0 = remaining_[0], r1 = remaining_[1];
+    double r2 = remaining_[2], r3 = remaining_[3];
     for (std::size_t i = 0; i < n; ++i) {
       const float* block = &probs[i * 4];
-      const double w0 = static_cast<double>(block[0]) * rem_f[0];
-      const double w1 = static_cast<double>(block[1]) * rem_f[1];
-      const double w2 = static_cast<double>(block[2]) * rem_f[2];
-      const double w3 = static_cast<double>(block[3]) * rem_f[3];
+      const double w0 = static_cast<double>(block[0]) * r0;
+      const double w1 = static_cast<double>(block[1]) * r1;
+      const double w2 = static_cast<double>(block[2]) * r2;
+      const double w3 = static_cast<double>(block[3]) * r3;
       const double norm = (w0 + w1) + (w2 + w3);
       // norm > 0: probs are floored and sum(remaining) = n - i > 0.
-      const double u = uniform01(rng) * norm;
+      const double u = uni[i] * norm;
       const double c1 = w0;
       const double c2 = w0 + w1;
       const double c3 = c2 + w2;
-      std::size_t chosen = static_cast<std::size_t>(u >= c1) +
-                           static_cast<std::size_t>(u >= c2) +
-                           static_cast<std::size_t>(u >= c3);
-      // Guard: a boundary tie can land on an exhausted species.
-      while (rem_f[chosen] <= 0.0) {
-        DT_CHECK(chosen > 0);
-        --chosen;
+      const bool g1 = u >= c1, g2 = u >= c2, g3 = u >= c3;
+      std::size_t chosen = static_cast<std::size_t>(g1) +
+                           static_cast<std::size_t>(g2) +
+                           static_cast<std::size_t>(g3);
+      bool take0 = !g1, take1 = g1 && !g2, take2 = g2 && !g3, take3 = g3;
+      if (r0 <= 0.0 || r1 <= 0.0 || r2 <= 0.0 || r3 <= 0.0) [[unlikely]] {
+        // Guard: a boundary tie can land on an exhausted species.
+        while (pick4(chosen, r0, r1, r2, r3) <= 0.0) {
+          DT_CHECK(chosen > 0);
+          --chosen;
+        }
+        take0 = chosen == 0;
+        take1 = chosen == 1;
+        take2 = chosen == 2;
+        take3 = chosen == 3;
       }
       const double wsel[4] = {w0, w1, w2, w3};
       run_fwd *= wsel[chosen] / norm;
@@ -295,21 +331,36 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
         log_q_fwd += std::log(run_fwd);
         run_fwd = 1.0;
       }
-      candidate_[i] = static_cast<std::uint8_t>(chosen);
-      rem_f[chosen] -= 1.0;
+      cand[i] = static_cast<std::uint8_t>(chosen);
+      n_changed += chosen != saved[i] ? 1u : 0u;
+      r0 -= one_if(take0);
+      r1 -= one_if(take1);
+      r2 -= one_if(take2);
+      r3 -= one_if(take3);
+    }
 
-      // Reverse: probability of re-drawing the saved species here.
-      const auto a = static_cast<std::size_t>(saved_[i]);
-      const double norm_r = static_cast<double>(block[0]) * rem_r[0] +
-                            static_cast<double>(block[1]) * rem_r[1] +
-                            static_cast<double>(block[2]) * rem_r[2] +
-                            static_cast<double>(block[3]) * rem_r[3];
-      run_rev *= static_cast<double>(block[a]) * rem_r[a] / norm_r;
+    // 4. Reverse density: the probability of re-drawing the saved state
+    // under the same z, from the same starting budget.
+    double q0 = remaining_[0], q1 = remaining_[1];
+    double q2 = remaining_[2], q3 = remaining_[3];
+    double run_rev = 1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* block = &probs[i * 4];
+      const auto a = static_cast<std::size_t>(saved[i]);
+      const double norm_r = static_cast<double>(block[0]) * q0 +
+                            static_cast<double>(block[1]) * q1 +
+                            static_cast<double>(block[2]) * q2 +
+                            static_cast<double>(block[3]) * q3;
+      run_rev *=
+          static_cast<double>(block[a]) * pick4(a, q0, q1, q2, q3) / norm_r;
       if (run_rev < 1e-270) {
         log_q_rev += std::log(run_rev);
         run_rev = 1.0;
       }
-      rem_r[a] -= 1.0;
+      q0 -= one_if(a == 0);
+      q1 -= one_if(a == 1);
+      q2 -= one_if(a == 2);
+      q3 -= one_if(a == 3);
     }
     log_q_rev += std::log(run_rev);
   } else {
@@ -319,7 +370,7 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
       for (std::size_t k = 0; k < s; ++k)
         norm += static_cast<double>(block[k]) * remaining_[k];
       // norm > 0: probabilities are floored and sum(remaining) = n - i > 0.
-      double u = uniform01(rng) * norm;
+      double u = uniforms_[i] * norm;
       std::size_t chosen = s - 1;
       for (std::size_t k = 0; k < s; ++k) {
         const double w = static_cast<double>(block[k]) * remaining_[k];
@@ -342,10 +393,10 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
         run_fwd = 1.0;
       }
       candidate_[i] = static_cast<std::uint8_t>(chosen);
+      n_changed += chosen != saved_[i] ? 1u : 0u;
       remaining_[chosen] -= 1.0;
     }
-    // 4. Reverse density of the current state under the same z (the
-    // s == 4 branch computes it fused into the sampling pass above).
+    // 4. Reverse density of the current state under the same z.
     log_q_rev = sequential_log_density_scratch(
                     std::span<const float>(probs, n * s), saved_,
                     cfg.n_species(), remaining_)
@@ -353,17 +404,12 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
   }
   log_q_fwd += std::log(run_fwd);
 
-  // 5. Energy: sparse delta over changed sites when the candidate stays
-  // close to the current state (the trained-VAE regime); a full
-  // recompute is cheaper once more than half the sites change, because
-  // the sparse walk visits changed sites' bonds from both endpoints.
+  // 5. Energy: sparse delta over changed sites when few sites change;
+  // past kSparseDeltaShare the full recompute is cheaper (see
+  // EpiHamiltonian::assign_delta).
   const bool telem = obs::Telemetry::instance().enabled();
-  std::size_t n_changed = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    n_changed += candidate_[i] != saved_[i] ? 1u : 0u;
-
   double delta_energy;
-  if (2 * n_changed <= n) {
+  if (n_changed * kSparseDeltaShare <= n) {
     const bool audit_due =
         audit_interval_ != 0 && (served_ + 1) % audit_interval_ == 0;
     double full_before = 0.0;

@@ -47,9 +47,10 @@
 //
 // z stays independent of the chain state, so the MH argument above is
 // untouched. Energy evaluation uses the sparse EpiHamiltonian::
-// assign_delta walk over changed sites when the candidate differs on
-// less than half the lattice (else a full recompute is cheaper), with a
-// periodic audit against total_energy (set_audit_interval).
+// assign_delta walk over changed sites when the candidate differs on at
+// most 1/kSparseDeltaShare of the lattice (else a full recompute is
+// cheaper), with a periodic audit against total_energy
+// (set_audit_interval).
 #pragma once
 
 #include <array>
@@ -88,6 +89,12 @@ class VaeProposal final : public mc::Proposal {
   /// the decoder weight streaming amortised (the buffer is K * n_sites *
   /// n_species floats per walker -- ~0.5 MB at paper scale).
   static constexpr std::int32_t kDefaultDecodeBatch = 16;
+  /// The energy delta takes the sparse assign_delta walk when at most
+  /// n_sites / kSparseDeltaShare sites change, else a full recompute.
+  /// bench_micro at N = 2000 puts the break-even between ~250 and ~330
+  /// changed sites (BM_AssignDelta/10/* against BM_TotalEnergy/10,
+  /// BENCH_vae.json); 8 takes its lower end.
+  static constexpr std::size_t kSparseDeltaShare = 8;
   /// Default audit cadence (proposals between delta-vs-total cross
   /// checks); denser in debug builds where the audit cost is acceptable.
 #ifdef NDEBUG
@@ -230,6 +237,7 @@ class VaeProposal final : public mc::Proposal {
   // Hot-path scratch, hoisted out of propose().
   std::vector<double> remaining_;     // species budget (n_species)
   std::vector<std::uint8_t> candidate_;
+  std::vector<double> uniforms_;      // the n sampling uniforms (n_sites)
   lattice::DeltaWorkspace delta_ws_;
 
   std::uint64_t audit_interval_ = kDefaultAuditInterval;

@@ -87,8 +87,11 @@ class EpiHamiltonian {
   /// sites are counted once (via the nb > site rule), bonds to unchanged
   /// neighbours contribute their coupling difference. The VAE global
   /// move uses this instead of total_energy (see DESIGN.md "Proposal
-  /// fast path"); note the sparse walk is cheaper than total_energy only
-  /// when f < 1/2, which the proposal layer checks before dispatching.
+  /// fast path"). The walk visits each changed site's bonds from both
+  /// endpoints through scattered loads and one serial Kahan chain, so it
+  /// is cheaper than total_energy only for f below about 1/8 (measured
+  /// at N = 2000 with bench_micro); VaeProposal::kSparseDeltaShare
+  /// dispatches on that.
   AssignDeltaResult assign_delta(const Configuration& cfg,
                                  std::span<const Species> candidate,
                                  DeltaWorkspace& ws) const;

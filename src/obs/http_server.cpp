@@ -6,7 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -276,34 +279,82 @@ void HttpServer::stop() {
 }
 
 void HttpServer::accept_loop() {
+  // One poll() over the listener, the wake pipe and every open client, so
+  // a client that connects and then sends nothing holds only its own
+  // slot until its deadline, never the scrapes behind it.
+  using Clock = std::chrono::steady_clock;
+  struct Client {
+    int fd = -1;  // -1: free slot
+    std::string request;
+    Clock::time_point deadline;
+  };
+  std::array<Client, kMaxClients> clients;
+  std::array<pollfd, kMaxClients + 2> fds{};
+  std::array<std::size_t, kMaxClients> slot_of{};  // fds[2 + i] -> slot
   while (running()) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
+    fds[0] = {listen_fd_, POLLIN, 0};
+    fds[1] = {wake_pipe_[0], POLLIN, 0};
+    std::size_t n_open = 0;
+    int timeout_ms = -1;
+    const Clock::time_point now = Clock::now();
+    for (std::size_t slot = 0; slot < kMaxClients; ++slot) {
+      const Client& c = clients[slot];
+      if (c.fd < 0) continue;
+      fds[2 + n_open] = {c.fd, POLLIN, 0};
+      slot_of[n_open++] = slot;
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(c.deadline - now);
+      const int ms = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+      timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+    }
+    // The listener is left out while every slot is taken.
+    const std::size_t skip = n_open < kMaxClients ? 0 : 1;
+    if (::poll(&fds[skip], 2 + n_open - skip, timeout_ms) < 0) {
       if (errno == EINTR) continue;
       break;
     }
     if ((fds[1].revents & POLLIN) != 0 || !running()) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    serve_connection(fd);
-    ::close(fd);
+
+    const Clock::time_point after = Clock::now();
+    for (std::size_t i = 0; i < n_open; ++i) {
+      Client& c = clients[slot_of[i]];
+      bool done = false;
+      if (fds[2 + i].revents != 0) {
+        char buf[2048];
+        const auto n = ::recv(c.fd, buf, sizeof(buf), 0);
+        if (n > 0) c.request.append(buf, static_cast<std::size_t>(n));
+        done = n <= 0 || c.request.size() >= kMaxRequestBytes ||
+               c.request.find("\r\n\r\n") != std::string::npos;
+        if (done) respond(c.fd, c.request);
+      }
+      // A client that has not sent a full request by its deadline is
+      // dropped without a response.
+      if (done || after >= c.deadline) {
+        ::close(c.fd);
+        c.fd = -1;
+        c.request.clear();
+      }
+    }
+
+    if (n_open < kMaxClients && (fds[0].revents & POLLIN) != 0) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd >= 0) {
+        timeval timeout{kClientTimeoutSeconds, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+        for (Client& c : clients) {
+          if (c.fd >= 0) continue;
+          c.fd = fd;
+          c.deadline = after + std::chrono::seconds(kClientTimeoutSeconds);
+          break;
+        }
+      }
+    }
   }
+  for (const Client& c : clients)
+    if (c.fd >= 0) ::close(c.fd);
 }
 
-void HttpServer::serve_connection(int fd) {
-  timeval timeout{2, 0};  // a stuck client must not wedge the scrape loop
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-  std::string request;
-  char buf[2048];
-  while (request.size() < 8192 &&
-         request.find("\r\n\r\n") == std::string::npos) {
-    const auto n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    request.append(buf, static_cast<std::size_t>(n));
-  }
+void HttpServer::respond(int fd, const std::string& request) {
   const auto line_end = request.find("\r\n");
   if (line_end == std::string::npos) return;  // not HTTP; drop silently
 

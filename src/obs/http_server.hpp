@@ -1,6 +1,9 @@
 // Embedded observability HTTP server: dependency-free (POSIX sockets
-// only), one blocking accept loop on its own thread, connections served
-// serially -- sized for scrapes and curls, not traffic.
+// only), one poll() loop on its own thread that reads up to kMaxClients
+// connections at once and answers each as its request completes -- sized
+// for scrapes and curls, not traffic. A client that sends no complete
+// request within kClientTimeoutSeconds is dropped; it never delays the
+// others.
 //
 // Endpoints (GET only):
 //   /metrics  Prometheus text exposition of the global metrics registry
@@ -69,7 +72,13 @@ class HttpServer {
   // before the spawn, stop() after the join), so the loop's reads cannot
   // race. The analysis cannot see that protocol, hence the opt-out.
   void accept_loop() DT_NO_THREAD_SAFETY_ANALYSIS;
-  void serve_connection(int fd);
+  /// Answer one complete (or cut-off) request on `fd`.
+  static void respond(int fd, const std::string& request);
+
+  static constexpr std::size_t kMaxClients = 32;
+  static constexpr std::size_t kMaxRequestBytes = 8192;
+  /// Seconds a client has to send its request; also bounds each send.
+  static constexpr int kClientTimeoutSeconds = 2;
 
   HttpServerOptions options_;
   std::atomic<bool> running_{false};

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <filesystem>
+#include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -137,6 +141,55 @@ TEST(Framework, MidRunRetrainingKeepsRunning) {
   const auto result = fw.run();
   EXPECT_TRUE(result.rewl.converged);
   EXPECT_GT(result.vae_stats.proposed, 0u);
+}
+
+TEST(Framework, DecodePlaneIsBehaviourNeutral) {
+  // The plane is off by default; switching it on may change speed only.
+  // A run with mid-run retraining (plane weight refreshes) and
+  // checkpoints gives bitwise the same ln g, walkers and final weights.
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "framework_plane";
+  auto opts = tiny_options();
+  opts.retrain_every_rounds = 4;
+  opts.retrain_epochs = 1;
+  opts.global_fraction = 0.2;
+  opts.rewl.max_sweeps = 3000;  // unconverged is fine: only equality counts
+  opts.rewl.progress_interval_seconds = 1e9;
+  opts.checkpoint_interval_rounds = 10;
+  opts.checkpoint_min_interval_seconds = 0.0;
+  EXPECT_FALSE(opts.decode_plane);
+
+  std::vector<DeepThermoResult> results;
+  for (const bool plane : {false, true}) {
+    std::filesystem::remove_all(dir);
+    opts.decode_plane = plane;
+    opts.checkpoint_dir = dir.string();
+    auto fw = Framework::nbmotaw(opts);
+    results.push_back(fw.run());
+    // Both runs really checkpointed and retrained.
+    EXPECT_FALSE(std::filesystem::is_empty(dir));
+    std::ostringstream pretrained(std::ios::binary);
+    fw.vae()->save(pretrained);
+    EXPECT_NE(results.back().final_vae_weights, pretrained.str());
+  }
+  std::filesystem::remove_all(dir);
+
+  const auto& off = results[0];
+  const auto& on = results[1];
+  ASSERT_GT(off.vae_stats.proposed, 0u);
+  EXPECT_EQ(off.vae_stats.proposed, on.vae_stats.proposed);
+  EXPECT_EQ(off.rewl.walker_energies, on.rewl.walker_energies);
+  EXPECT_EQ(off.rewl.walker_rng_positions, on.rewl.walker_rng_positions);
+  ASSERT_FALSE(off.final_vae_weights.empty());
+  EXPECT_EQ(off.final_vae_weights, on.final_vae_weights);
+  ASSERT_EQ(off.grid.n_bins(), on.grid.n_bins());
+  for (std::int32_t b = 0; b < off.grid.n_bins(); ++b) {
+    ASSERT_EQ(off.dos.visited(b), on.dos.visited(b)) << "bin " << b;
+    if (off.dos.visited(b))
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(off.dos.log_g(b).value()),
+                std::bit_cast<std::uint64_t>(on.dos.log_g(b).value()))
+          << "bin " << b;
+  }
 }
 
 TEST(Framework, ProductionPhaseRefinesDos) {

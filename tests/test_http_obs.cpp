@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -169,6 +170,37 @@ TEST_F(HttpObsTest, RejectsUnknownPathsAndMethods) {
   // Query strings are stripped before routing.
   EXPECT_NE(http_get(server.port(), "/healthz?probe=1").find("200"),
             std::string::npos);
+  server.stop();
+}
+
+TEST_F(HttpObsTest, IdleClientDoesNotStallScrapes) {
+  // A client that connects and sends nothing must not hold up others;
+  // a scrape behind it answers well inside the 2 s client deadline.
+  HttpServer server;
+  server.start();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  // Let the server accept the idle connection before the scrape arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string response = http_get(server.port(), "/metrics");
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_NE(response.find("200 OK"), std::string::npos);
+  EXPECT_LT(seconds, 0.5);
+
+  // The idle client is dropped, unanswered, once its deadline passes.
+  char buf[64];
+  EXPECT_EQ(::recv(idle, buf, sizeof buf, 0), 0);
+  ::close(idle);
   server.stop();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -67,6 +68,56 @@ TEST(Philox, BlockIsPureFunction) {
   const Philox4x32 g(5, 6);
   EXPECT_EQ(g.block(100, 0), g.block(100, 0));
   EXPECT_NE(g.block(100, 0), g.block(101, 0));
+}
+
+/// Bulk fill of n uniforms from `bulk`, and n uniform01 calls from
+/// `scalar`: the values must agree bit for bit, both generators must
+/// end at the same position, and their next draws must agree.
+void expect_fill_is_successive_calls(Philox4x32& bulk, Philox4x32& scalar,
+                                     std::size_t n) {
+  std::vector<double> got(n, -1.0);
+  bulk.fill_uniform01(got);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(uniform01(scalar)))
+        << "uniform " << i << " of " << n;
+  EXPECT_EQ(bulk.position(), scalar.position()) << "n = " << n;
+  EXPECT_EQ(bulk(), scalar()) << "n = " << n;
+}
+
+TEST(Philox, FillUniform01IsSuccessiveCallsAfterSeek) {
+  // Every buffer offset (parity of the pairing included), counts that
+  // end mid-block, on a block and past several lane batches, and a start
+  // just below a 2^32 block boundary (the counter's high word carries).
+  const std::size_t counts[] = {0, 1, 2, 3, 7, 8, 63, 64, 65, 129, 2000, 2001};
+  for (const std::uint64_t base : {0ULL, 4ULL * 1000, (4ULL << 32) - 64}) {
+    for (std::uint64_t offset = 0; offset < 4; ++offset) {
+      for (const std::size_t n : counts) {
+        Philox4x32 bulk(7, 11), scalar(7, 11);
+        bulk.seek(base + offset);
+        scalar.seek(base + offset);
+        SCOPED_TRACE(testing::Message() << "base " << base << " offset "
+                                        << offset << " n " << n);
+        expect_fill_is_successive_calls(bulk, scalar, n);
+      }
+    }
+  }
+}
+
+TEST(Philox, FillUniform01IsSuccessiveCallsMidStream) {
+  // From a fresh generator (nothing buffered yet) and after scalar draws
+  // leave each buffer offset; fills chained with odd counts keep flipping
+  // the pairing parity.
+  for (int skip = 0; skip < 5; ++skip) {
+    Philox4x32 bulk(3, 4), scalar(3, 4);
+    for (int d = 0; d < skip; ++d) ASSERT_EQ(bulk(), scalar());
+    for (const std::size_t n : {std::size_t{5}, std::size_t{0},
+                                std::size_t{100}, std::size_t{1},
+                                std::size_t{33}}) {
+      SCOPED_TRACE(testing::Message() << "skip " << skip << " n " << n);
+      expect_fill_is_successive_calls(bulk, scalar, n);
+    }
+  }
 }
 
 TEST(Uniform01, InHalfOpenUnitInterval) {

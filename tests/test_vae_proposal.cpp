@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -344,6 +345,199 @@ TEST(VaeProposalFastPath, AuditEveryProposalPasses) {
     energy += r.delta_energy.value();
   }
   EXPECT_NEAR(energy, ham.total_energy(cfg), 1e-7);
+}
+
+// ---- the sampling loops against the loops they replaced ----
+
+/// One move as the kernel reports it.
+struct Move {
+  std::vector<std::uint8_t> candidate;
+  double log_q_ratio = 0.0;
+  double delta_energy = 0.0;
+  std::uint64_t rng_position = 0;
+  bool sparse = false;  ///< energy took the assign_delta walk
+
+  bool operator==(const Move& o) const {
+    return candidate == o.candidate &&
+           std::bit_cast<std::uint64_t>(log_q_ratio) ==
+               std::bit_cast<std::uint64_t>(o.log_q_ratio) &&
+           std::bit_cast<std::uint64_t>(delta_energy) ==
+               std::bit_cast<std::uint64_t>(o.delta_energy) &&
+           rng_position == o.rng_position;
+  }
+};
+
+/// propose()'s steps 3-5 as written before the sampling uniforms were
+/// drawn in bulk and the quaternary reverse density got its own pass: one
+/// uniform01 call per site, array budgets counted from the occupancy, the
+/// reverse density fused into the s == 4 sampling pass. Energy dispatch
+/// follows the kernel's kSparseDeltaShare.
+Move reference_move(std::span<const float> probs, const Configuration& cfg,
+                    double energy, const lattice::EpiHamiltonian& ham,
+                    mc::Rng& rng) {
+  const auto n = static_cast<std::size_t>(cfg.num_sites());
+  const auto s = static_cast<std::size_t>(cfg.n_species());
+  const std::vector<std::uint8_t> saved(cfg.occupancy().begin(),
+                                        cfg.occupancy().end());
+  std::vector<std::uint8_t> candidate(n);
+  std::vector<double> remaining(s, 0.0);
+  for (std::uint8_t sp : saved) remaining[sp] += 1.0;
+
+  double log_q_fwd = 0.0;
+  double log_q_rev = 0.0;
+  double run_fwd = 1.0;
+  if (s == 4) {
+    double rem_f[4];
+    double rem_r[4];
+    for (std::size_t k = 0; k < 4; ++k) rem_f[k] = rem_r[k] = remaining[k];
+    double run_rev = 1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* block = &probs[i * 4];
+      const double w0 = static_cast<double>(block[0]) * rem_f[0];
+      const double w1 = static_cast<double>(block[1]) * rem_f[1];
+      const double w2 = static_cast<double>(block[2]) * rem_f[2];
+      const double w3 = static_cast<double>(block[3]) * rem_f[3];
+      const double norm = (w0 + w1) + (w2 + w3);
+      const double u = uniform01(rng) * norm;
+      const double c1 = w0;
+      const double c2 = w0 + w1;
+      const double c3 = c2 + w2;
+      std::size_t chosen = static_cast<std::size_t>(u >= c1) +
+                           static_cast<std::size_t>(u >= c2) +
+                           static_cast<std::size_t>(u >= c3);
+      while (rem_f[chosen] <= 0.0) --chosen;
+      const double wsel[4] = {w0, w1, w2, w3};
+      run_fwd *= wsel[chosen] / norm;
+      if (run_fwd < 1e-270) {
+        log_q_fwd += std::log(run_fwd);
+        run_fwd = 1.0;
+      }
+      candidate[i] = static_cast<std::uint8_t>(chosen);
+      rem_f[chosen] -= 1.0;
+
+      const auto a = static_cast<std::size_t>(saved[i]);
+      const double norm_r = static_cast<double>(block[0]) * rem_r[0] +
+                            static_cast<double>(block[1]) * rem_r[1] +
+                            static_cast<double>(block[2]) * rem_r[2] +
+                            static_cast<double>(block[3]) * rem_r[3];
+      run_rev *= static_cast<double>(block[a]) * rem_r[a] / norm_r;
+      if (run_rev < 1e-270) {
+        log_q_rev += std::log(run_rev);
+        run_rev = 1.0;
+      }
+      rem_r[a] -= 1.0;
+    }
+    log_q_rev += std::log(run_rev);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* block = &probs[i * s];
+      double norm = 0.0;
+      for (std::size_t k = 0; k < s; ++k)
+        norm += static_cast<double>(block[k]) * remaining[k];
+      double u = uniform01(rng) * norm;
+      std::size_t chosen = s - 1;
+      for (std::size_t k = 0; k < s; ++k) {
+        const double w = static_cast<double>(block[k]) * remaining[k];
+        if (u < w) {
+          chosen = k;
+          break;
+        }
+        u -= w;
+      }
+      while (remaining[chosen] <= 0.0) --chosen;
+      run_fwd *= static_cast<double>(block[chosen]) * remaining[chosen] / norm;
+      if (run_fwd < 1e-270) {
+        log_q_fwd += std::log(run_fwd);
+        run_fwd = 1.0;
+      }
+      candidate[i] = static_cast<std::uint8_t>(chosen);
+      remaining[chosen] -= 1.0;
+    }
+    log_q_rev =
+        VaeProposal::sequential_log_density(probs, saved, cfg.n_species())
+            .value();
+  }
+  log_q_fwd += std::log(run_fwd);
+
+  Move m;
+  std::size_t n_changed = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    n_changed += candidate[i] != saved[i] ? 1u : 0u;
+  m.sparse = n_changed * VaeProposal::kSparseDeltaShare <= n;
+  if (m.sparse) {
+    lattice::DeltaWorkspace ws;
+    m.delta_energy = ham.assign_delta(cfg, candidate, ws).delta_energy;
+  } else {
+    Configuration next = cfg;
+    next.assign(candidate);
+    m.delta_energy = ham.total_energy(next) - energy;
+  }
+  m.candidate = std::move(candidate);
+  m.log_q_ratio = log_q_rev - log_q_fwd;
+  m.rng_position = rng.position();
+  return m;
+}
+
+/// Drive the kernel for `steps` moves (accepting every other one) and
+/// check each against reference_move on the same probs, state and
+/// physics stream. Returns how many moves took the sparse energy walk.
+int expect_moves_match_reference(const Lattice& lat, int n_species,
+                                 std::span<const double> fractions,
+                                 std::int32_t k, int steps) {
+  const auto ham = lattice::random_epi(n_species, 2, 0.1, 17);
+  auto vae = make_vae(lat.num_sites(), n_species, 23);
+  VaeProposal prop(ham, vae);
+  prop.set_decode_batch(k);
+  mc::Rng rng(31, 0);
+  auto cfg = lattice::random_configuration(lat, n_species, rng, fractions);
+  rng.seek(rng.position() + 3);  // an odd buffer offset for the draws
+  double energy = ham.total_energy(cfg);
+  int sparse = 0;
+  for (int step = 0; step < steps; ++step) {
+    const Configuration before = cfg;
+    mc::Rng ref_rng = rng;
+    const auto r = prop.propose(cfg, units::Energy(energy), rng);
+    Move got;
+    got.candidate.assign(cfg.occupancy().begin(), cfg.occupancy().end());
+    got.log_q_ratio = r.log_q_ratio.value();
+    got.delta_energy = r.delta_energy.value();
+    got.rng_position = rng.position();
+    const Move want =
+        reference_move(prop.last_probs(), before, energy, ham, ref_rng);
+    EXPECT_TRUE(got == want) << "step " << step << " (K = " << k
+                             << ", s = " << n_species << ")";
+    sparse += want.sparse ? 1 : 0;
+    if (step % 2 == 0) {
+      energy += r.delta_energy.value();
+    } else {
+      prop.revert(cfg);
+    }
+  }
+  return sparse;
+}
+
+TEST(VaeProposalLoops, QuaternaryMatchesTheFusedLoopItReplaced) {
+  // 1024 sites: each density's running product flushes to log space
+  // about twice per move. The skewed composition keeps candidates close
+  // to the state, so both energy paths are taken.
+  const auto lat = Lattice::create(LatticeType::kBCC, 8, 8, 8, 2);
+  const std::vector<double> skewed = {0.93, 0.02, 0.02, 0.02};
+  for (const std::int32_t k : {1, 16}) {
+    EXPECT_EQ(expect_moves_match_reference(lat, 4, {}, k, 20), 0);
+    const int sparse = expect_moves_match_reference(lat, 4, skewed, k, 40);
+    EXPECT_GT(sparse, 0);
+    EXPECT_LT(sparse, 40);
+  }
+}
+
+TEST(VaeProposalLoops, GenericMatchesTheLoopItReplaced) {
+  const auto lat = Lattice::create(LatticeType::kBCC, 8, 8, 8, 2);
+  const std::vector<double> skewed = {0.96, 0.02, 0.02};
+  for (const std::int32_t k : {1, 16}) {
+    (void)expect_moves_match_reference(lat, 3, {}, k, 20);
+    const int sparse = expect_moves_match_reference(lat, 3, skewed, k, 40);
+    EXPECT_GT(sparse, 0);
+  }
 }
 
 }  // namespace
