@@ -8,13 +8,14 @@
 #   tsan        ThreadSanitizer pass over the concurrency-heavy tests
 #   coverage    line-coverage floors for src/mc/ and src/validate/
 #   perf        Release perf smoke vs BENCH_baseline.json
+#   bench_e2e_smoke  end-to-end benchmark smoke at toy sizes
 #
 #   scripts/check.sh [extra ctest args...]     (args go to the asan stage)
 #
 # Escape hatches (set to 1): DT_SKIP_LINT, DT_SKIP_ANALYZER,
 # DT_SKIP_CLANG_TIDY, DT_SKIP_TSAN, DT_SKIP_COVERAGE,
-# DT_SKIP_PERF_SMOKE. Stages that need a missing optional tool
-# (clang-format, clang-tidy) self-skip.
+# DT_SKIP_PERF_SMOKE, DT_SKIP_BENCH_SMOKE. Stages that need a missing
+# optional tool (clang-format, clang-tidy) self-skip.
 #
 # Each stage emits one machine-readable summary line:
 #   check.sh[stage] name=<stage> status=<ok|fail|skip> duration_s=<secs>
@@ -275,6 +276,24 @@ PY
 }
 
 run_stage perf_smoke stage_perf
+
+# ---- bench_e2e smoke ----------------------------------------------------
+# Runs the end-to-end benchmark's solver on its toy workloads, plain and
+# traced (bench_e2e/smoke_test.py; builds into .bench_build/). A src/ API
+# change that breaks bench_e2e_solve, or a traced run whose ln g drifts
+# from the plain one, fails here instead of in the benchmark pipeline.
+# Skip with DT_SKIP_BENCH_SMOKE=1.
+
+stage_bench_e2e_smoke() {
+  if [[ "${DT_SKIP_BENCH_SMOKE:-0}" == "1" ]]; then
+    echo "check.sh: bench_e2e smoke skipped (DT_SKIP_BENCH_SMOKE=1)"
+    return 99
+  fi
+  (cd "${repo_root}" && python3 bench_e2e/smoke_test.py)
+  echo "check.sh: bench_e2e smoke clean"
+}
+
+run_stage bench_e2e_smoke stage_bench_e2e_smoke
 
 summarize
 echo "check.sh: all stages passed (or explicitly skipped)"

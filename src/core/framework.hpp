@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -103,10 +104,6 @@ struct DeepThermoOptions {
   /// Max microseconds a plane leader waits for stragglers before serving
   /// a partial batch (see DecodePlane::Options::window_us).
   std::int64_t decode_plane_window_us = 200;
-  /// Sparse-delta audit cadence for the VAE kernel: cross-check the
-  /// changed-site energy walk against total_energy every this many
-  /// proposals (0 disables; < 0: keep the library default).
-  std::int64_t vae_audit_interval = -1;
   /// Conditional-VAE extension: train the decoder conditioned on the
   /// (normalised) sample energy and fix each walker's condition to its
   /// window's centre, steering global proposals towards the window. The
@@ -215,12 +212,26 @@ class Framework {
     kProduction = 2,
   };
 
+  struct RunCheckpoint;  ///< run()'s store and resumed generation
+
   [[nodiscard]] nn::VaeOptions make_vae_options() const;
   /// pretrain() with optional mid-training checkpointing/resume.
   nn::TrainReport pretrain_impl(ckpt::CheckpointStore* store,
                                 const ckpt::Checkpoint* resume);
+
+  // run()'s stages, in order (steps 2-3, 4, production).
+  RunCheckpoint open_checkpoint();
+  void prepare_vae(const RunCheckpoint& ck, DeepThermoResult& result);
+  void sample(const RunCheckpoint& ck, DeepThermoResult& result);
+  void produce(DeepThermoResult& result) const;
+
+  /// "framework" component, plus the pretrained weights once they exist.
   void save_framework_component(ckpt::CheckpointBuilder& builder,
                                 Phase phase) const;
+  /// One phase checkpoint: the framework component, `add`'s components.
+  void save_phase(
+      ckpt::CheckpointStore& store, Phase phase,
+      const std::function<void(ckpt::CheckpointBuilder&)>& add) const;
 
   DeepThermoOptions options_;
   lattice::Lattice lattice_;

@@ -170,9 +170,6 @@ class VaeProposal final : public mc::Proposal {
   void set_audit_interval(std::uint64_t interval) {
     audit_interval_ = interval;
   }
-  [[nodiscard]] std::uint64_t audit_interval() const {
-    return audit_interval_;
-  }
 
   /// Proposals served so far == the next latent ordinal (the fast
   /// path's only persistent state).

@@ -40,6 +40,12 @@ const std::string& claim(std::map<std::string, std::string>& taken,
   return it->first;
 }
 
+/// One walker field as a gauge sample (bools read 0/1).
+template <auto Field>
+double gauge(const HealthSnapshot::Walker& w) {
+  return static_cast<double>(w.*Field);
+}
+
 }  // namespace
 
 std::string sanitize_metric_name(std::string_view name) {
@@ -109,51 +115,27 @@ std::string render_prometheus(const MetricsSnapshot& snap,
      << "health_checkpoint_generation " << health.checkpoint_generation
      << '\n';
 
+  using W = HealthSnapshot::Walker;
   struct Series {
     const char* name;
-    double (*get)(const HealthSnapshot::Walker&);
+    double (*get)(const W&);
   };
   static constexpr Series kWalkerSeries[] = {
-      {"health_walker_flatness",
-       [](const HealthSnapshot::Walker& w) { return w.flatness; }},
-      {"health_walker_best_flatness",
-       [](const HealthSnapshot::Walker& w) { return w.best_flatness; }},
-      {"health_walker_log_f",
-       [](const HealthSnapshot::Walker& w) { return w.log_f; }},
-      {"health_walker_f_stage",
-       [](const HealthSnapshot::Walker& w) {
-         return static_cast<double>(w.f_stage);
-       }},
-      {"health_walker_sweeps",
-       [](const HealthSnapshot::Walker& w) {
-         return static_cast<double>(w.sweeps);
-       }},
-      {"health_walker_sweeps_per_second",
-       [](const HealthSnapshot::Walker& w) { return w.sweeps_per_s; }},
-      {"health_walker_acceptance",
-       [](const HealthSnapshot::Walker& w) { return w.acceptance; }},
-      {"health_walker_round_trips",
-       [](const HealthSnapshot::Walker& w) {
-         return static_cast<double>(w.round_trips);
-       }},
-      {"health_walker_round_trip_mean_seconds",
-       [](const HealthSnapshot::Walker& w) { return w.round_trip_mean_s; }},
-      {"health_walker_local_acceptance",
-       [](const HealthSnapshot::Walker& w) { return w.local_acceptance; }},
-      {"health_walker_vae_acceptance",
-       [](const HealthSnapshot::Walker& w) { return w.vae_acceptance; }},
-      {"health_walker_converged",
-       [](const HealthSnapshot::Walker& w) {
-         return w.converged ? 1.0 : 0.0;
-       }},
-      {"health_walker_stalled",
-       [](const HealthSnapshot::Walker& w) {
-         return w.stalled ? 1.0 : 0.0;
-       }},
+      {"health_walker_flatness", gauge<&W::flatness>},
+      {"health_walker_best_flatness", gauge<&W::best_flatness>},
+      {"health_walker_log_f", gauge<&W::log_f>},
+      {"health_walker_f_stage", gauge<&W::f_stage>},
+      {"health_walker_sweeps", gauge<&W::sweeps>},
+      {"health_walker_sweeps_per_second", gauge<&W::sweeps_per_s>},
+      {"health_walker_acceptance", gauge<&W::acceptance>},
+      {"health_walker_round_trips", gauge<&W::round_trips>},
+      {"health_walker_round_trip_mean_seconds", gauge<&W::round_trip_mean_s>},
+      {"health_walker_local_acceptance", gauge<&W::local_acceptance>},
+      {"health_walker_vae_acceptance", gauge<&W::vae_acceptance>},
+      {"health_walker_converged", gauge<&W::converged>},
+      {"health_walker_stalled", gauge<&W::stalled>},
       {"health_walker_seconds_since_improve",
-       [](const HealthSnapshot::Walker& w) {
-         return w.seconds_since_improve;
-       }},
+       gauge<&W::seconds_since_improve>},
   };
   for (const Series& series : kWalkerSeries) {
     os << "# TYPE " << series.name << " gauge\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -26,6 +27,22 @@ void instrumentation_release() {
   g_instrumentation_depth.fetch_sub(1, std::memory_order_relaxed);
 }
 
+void WalkerHealthCell::store(const WalkerHealthSample& sample) {
+  std::uint64_t buf[kWords] = {};
+  std::memcpy(buf, &sample, sizeof sample);
+  for (std::size_t i = 0; i < kWords; ++i)
+    words[i].store(buf[i], std::memory_order_relaxed);
+}
+
+WalkerHealthSample WalkerHealthCell::load() const {
+  std::uint64_t buf[kWords];
+  for (std::size_t i = 0; i < kWords; ++i)
+    buf[i] = words[i].load(std::memory_order_relaxed);
+  WalkerHealthSample sample;
+  std::memcpy(&sample, buf, sizeof sample);
+  return sample;
+}
+
 void HealthRegistry::configure(int n_ranks, int n_windows,
                                int walkers_per_window, double stall_seconds) {
   DT_CHECK(n_ranks >= 1 && n_windows >= 1 && walkers_per_window >= 1);
@@ -38,7 +55,10 @@ void HealthRegistry::configure(int n_ranks, int n_windows,
   fresh->walkers_per_window = walkers_per_window;
   fresh->stall_seconds = stall_seconds;
   const double now = now_s();
+  WalkerHealthSample unpublished;
+  unpublished.window = -1;
   for (auto& cell : fresh->walkers) {
+    cell.store(unpublished);
     cell.last_improve_s.store(now, std::memory_order_relaxed);
     cell.last_publish_s.store(now, std::memory_order_relaxed);
   }
@@ -72,7 +92,7 @@ void HealthRegistry::publish(const std::shared_ptr<WalkerHealthCell>& cell,
   // Improvement clock: a new ln f stage restarts the histogram, so the
   // stage transition itself is progress; within a stage, only a strictly
   // better flatness ratio resets the stall timer.
-  const std::int32_t prev_stage = c.f_stage.load(std::memory_order_relaxed);
+  const std::int32_t prev_stage = c.load().f_stage;
   const double prev_best = c.best_flatness.load(std::memory_order_relaxed);
   if (sample.f_stage != prev_stage ||
       sample.flatness > prev_best + kImproveEpsilon) {
@@ -82,26 +102,7 @@ void HealthRegistry::publish(const std::shared_ptr<WalkerHealthCell>& cell,
                           std::memory_order_relaxed);
     c.last_improve_s.store(now, std::memory_order_relaxed);
   }
-
-  c.window.store(sample.window, std::memory_order_relaxed);
-  c.sweeps.store(sample.sweeps, std::memory_order_relaxed);
-  c.sweeps_per_s.store(sample.sweeps_per_s, std::memory_order_relaxed);
-  c.flatness.store(sample.flatness, std::memory_order_relaxed);
-  c.log_f.store(sample.log_f, std::memory_order_relaxed);
-  c.f_stage.store(sample.f_stage, std::memory_order_relaxed);
-  c.acceptance.store(sample.acceptance, std::memory_order_relaxed);
-  c.round_trips.store(sample.round_trips, std::memory_order_relaxed);
-  c.energy.store(sample.energy, std::memory_order_relaxed);
-  c.local_proposed.store(sample.local_proposed, std::memory_order_relaxed);
-  c.local_acceptance.store(sample.local_acceptance,
-                           std::memory_order_relaxed);
-  c.vae_proposed.store(sample.vae_proposed, std::memory_order_relaxed);
-  c.vae_acceptance.store(sample.vae_acceptance, std::memory_order_relaxed);
-  c.vae_decode_wait_ms.store(sample.vae_decode_wait_ms,
-                             std::memory_order_relaxed);
-  c.vae_decode_waits.store(sample.vae_decode_waits,
-                           std::memory_order_relaxed);
-  c.converged.store(sample.converged, std::memory_order_relaxed);
+  c.store(sample);
   c.last_publish_s.store(now, std::memory_order_relaxed);
 
   // Trajectory ring: write the slot, then advance the head, so readers
@@ -152,10 +153,9 @@ int HealthRegistry::evaluate() {
   int stalled = 0;
   for (std::size_t rank = 0; rank < blk->walkers.size(); ++rank) {
     WalkerHealthCell& c = blk->walkers[rank];
+    const WalkerHealthSample s = c.load();
     bool verdict = false;
-    if (blk->stall_seconds > 0.0 &&
-        c.sweeps.load(std::memory_order_relaxed) > 0 &&
-        !c.converged.load(std::memory_order_relaxed)) {
+    if (blk->stall_seconds > 0.0 && s.sweeps > 0 && !s.converged) {
       const double idle =
           now - c.last_improve_s.load(std::memory_order_relaxed);
       verdict = idle > blk->stall_seconds;
@@ -163,10 +163,8 @@ int HealthRegistry::evaluate() {
     if (verdict) ++stalled;
     const bool was = c.stalled.exchange(verdict, std::memory_order_relaxed);
     if (verdict && !was) {
-      DT_LOG_WARN << "health: walker " << rank << " (window "
-                  << c.window.load(std::memory_order_relaxed)
-                  << ") stalled -- flatness "
-                  << c.flatness.load(std::memory_order_relaxed)
+      DT_LOG_WARN << "health: walker " << rank << " (window " << s.window
+                  << ") stalled -- flatness " << s.flatness
                   << " unimproved for "
                   << now - c.last_improve_s.load(std::memory_order_relaxed)
                   << " s (budget " << blk->stall_seconds << " s)";
@@ -195,29 +193,13 @@ HealthSnapshot HealthRegistry::snapshot() const {
   for (std::size_t rank = 0; rank < blk->walkers.size(); ++rank) {
     const WalkerHealthCell& c = blk->walkers[rank];
     HealthSnapshot::Walker w;
+    static_cast<WalkerHealthSample&>(w) = c.load();
     w.rank = static_cast<int>(rank);
-    w.window = c.window.load(std::memory_order_relaxed);
-    w.sweeps = c.sweeps.load(std::memory_order_relaxed);
-    w.sweeps_per_s = c.sweeps_per_s.load(std::memory_order_relaxed);
-    w.flatness = c.flatness.load(std::memory_order_relaxed);
     w.best_flatness = c.best_flatness.load(std::memory_order_relaxed);
-    w.log_f = c.log_f.load(std::memory_order_relaxed);
-    w.f_stage = c.f_stage.load(std::memory_order_relaxed);
-    w.acceptance = c.acceptance.load(std::memory_order_relaxed);
-    w.round_trips = c.round_trips.load(std::memory_order_relaxed);
     w.round_trip_mean_s =
         w.round_trips == 0 ? 0.0
                            : snap.uptime_s /
                                  static_cast<double>(w.round_trips);
-    w.energy = c.energy.load(std::memory_order_relaxed);
-    w.local_proposed = c.local_proposed.load(std::memory_order_relaxed);
-    w.local_acceptance = c.local_acceptance.load(std::memory_order_relaxed);
-    w.vae_proposed = c.vae_proposed.load(std::memory_order_relaxed);
-    w.vae_acceptance = c.vae_acceptance.load(std::memory_order_relaxed);
-    w.vae_decode_wait_ms =
-        c.vae_decode_wait_ms.load(std::memory_order_relaxed);
-    w.vae_decode_waits = c.vae_decode_waits.load(std::memory_order_relaxed);
-    w.converged = c.converged.load(std::memory_order_relaxed);
     w.stalled = c.stalled.load(std::memory_order_relaxed);
     w.seconds_since_improve =
         now - c.last_improve_s.load(std::memory_order_relaxed);

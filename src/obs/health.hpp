@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -35,29 +36,52 @@ namespace dt::obs {
 void instrumentation_retain();
 void instrumentation_release();
 
-/// One walker's live health state. All fields are relaxed atomics --
-/// readers may observe a mid-block mix of old and new values, but never
-/// a torn value (asserted under TSan by test_http_obs).
-struct alignas(64) WalkerHealthCell {
-  std::atomic<std::int32_t> window{-1};
-  std::atomic<std::int64_t> sweeps{0};
-  std::atomic<double> sweeps_per_s{0.0};
-  std::atomic<double> flatness{0.0};
-  std::atomic<double> best_flatness{0.0};  ///< within the current ln f stage
-  std::atomic<double> log_f{0.0};
-  std::atomic<std::int32_t> f_stage{0};
-  std::atomic<double> acceptance{0.0};
-  std::atomic<std::uint64_t> round_trips{0};
-  std::atomic<double> energy{0.0};
-  std::atomic<std::uint64_t> local_proposed{0};
-  std::atomic<double> local_acceptance{0.0};
-  std::atomic<std::uint64_t> vae_proposed{0};
-  std::atomic<double> vae_acceptance{0.0};
+/// One walker's state at the end of an exchange block: the single
+/// per-block snapshot the REWL driver renders into the health cell, the
+/// `rewl_walker` telemetry event and the progress line, and gathers to
+/// rank 0 (as raw bytes) for the final window reports.
+struct WalkerHealthSample {
+  int rank = 0;
+  int window = 0;
+  std::int64_t round = 0;
+  std::int64_t sweeps = 0;
+  double sweeps_per_s = 0.0;
+  double flatness = 0.0;
+  double log_f = 0.0;
+  std::int32_t f_stage = 0;
+  double acceptance = 0.0;
+  std::uint64_t round_trips = 0;
+  double energy = 0.0;
+  std::uint64_t local_proposed = 0;
+  double local_acceptance = 0.0;
+  std::uint64_t vae_proposed = 0;
+  double vae_acceptance = 0.0;
   /// Cumulative ms blocked in DecodePlane::wait and the number of such
   /// waits (0 when no decode plane is attached).
-  std::atomic<double> vae_decode_wait_ms{0.0};
-  std::atomic<std::uint64_t> vae_decode_waits{0};
-  std::atomic<bool> converged{false};
+  double vae_decode_wait_ms = 0.0;
+  std::uint64_t vae_decode_waits = 0;
+  /// Window of this block's exchange partner (-1: none this round).
+  int partner_window = -1;
+  std::int64_t exch_attempted = 0;
+  std::int64_t exch_accepted = 0;
+  std::uint64_t rng_position = 0;  ///< sampling-stream Philox position
+  bool converged = false;
+};
+static_assert(std::is_trivially_copyable_v<WalkerHealthSample>,
+              "WalkerHealthSample travels over minicomm as raw bytes");
+
+/// One walker's live health state: its last published sample, kept as
+/// relaxed atomic words -- readers may observe a mid-block mix of two
+/// samples' fields, but never a torn field (asserted under TSan by
+/// test_http_obs) -- plus the watchdog's bookkeeping.
+struct alignas(64) WalkerHealthCell {
+  static constexpr std::size_t kWords = (sizeof(WalkerHealthSample) + 7) / 8;
+  std::atomic<std::uint64_t> words[kWords] = {};
+
+  void store(const WalkerHealthSample& sample);
+  [[nodiscard]] WalkerHealthSample load() const;
+
+  std::atomic<double> best_flatness{0.0};  ///< within the current ln f stage
   std::atomic<bool> stalled{false};
   /// Registry-clock time of the last flatness improvement (stage resets
   /// count as improvements: each ln f stage restarts the histogram).
@@ -85,49 +109,13 @@ struct alignas(64) PairHealthCell {
   std::atomic<double> ewma{-1.0};
 };
 
-/// What a walker publishes at the end of each exchange block.
-struct WalkerHealthSample {
-  int window = 0;
-  std::int64_t sweeps = 0;
-  double sweeps_per_s = 0.0;
-  double flatness = 0.0;
-  double log_f = 0.0;
-  std::int32_t f_stage = 0;
-  double acceptance = 0.0;
-  std::uint64_t round_trips = 0;
-  double energy = 0.0;
-  std::uint64_t local_proposed = 0;
-  double local_acceptance = 0.0;
-  std::uint64_t vae_proposed = 0;
-  double vae_acceptance = 0.0;
-  double vae_decode_wait_ms = 0.0;
-  std::uint64_t vae_decode_waits = 0;
-  bool converged = false;
-};
-
 /// Point-in-time copy of the whole health plane (see snapshot()).
 struct HealthSnapshot {
-  struct Walker {
-    int rank = 0;
-    int window = -1;
-    std::int64_t sweeps = 0;
-    double sweeps_per_s = 0.0;
-    double flatness = 0.0;
+  /// A walker's last published sample plus the registry's verdicts.
+  struct Walker : WalkerHealthSample {
     double best_flatness = 0.0;
-    double log_f = 0.0;
-    std::int32_t f_stage = 0;
-    double acceptance = 0.0;
-    std::uint64_t round_trips = 0;
     /// uptime / round_trips; 0 until the first round trip.
     double round_trip_mean_s = 0.0;
-    double energy = 0.0;
-    std::uint64_t local_proposed = 0;
-    double local_acceptance = 0.0;
-    std::uint64_t vae_proposed = 0;
-    double vae_acceptance = 0.0;
-    double vae_decode_wait_ms = 0.0;
-    std::uint64_t vae_decode_waits = 0;
-    bool converged = false;
     bool stalled = false;
     double seconds_since_improve = 0.0;
     /// Oldest-first (sweeps, flatness) samples, at most kTrajectoryLen.

@@ -9,8 +9,11 @@
 //   A = min(1, [g_i(E_x) g_j(E_y)] / [g_i(E_y) g_j(E_x)])
 //
 // valid only when both energies lie in both windows (i.e. the overlap).
-// After global convergence, walkers of a window average their ln g and
-// rank 0 stitches the window fragments into the global DOS.
+// After global convergence rank 0 gathers every walker's ln g, averages
+// each window and stitches the fragments into the global DOS. Each rank
+// runs named stages around one obs::WalkerHealthSample snapshot per
+// block (DESIGN.md "REWL driver stages"); the stages that need no
+// communicator are declared at the end, for unit tests.
 //
 // An interval hook gives the DeepThermo core a place to harvest
 // configurations and retrain/refresh the VAE proposal mid-run.
@@ -19,6 +22,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/signal.hpp"
@@ -26,10 +31,15 @@
 #include "lattice/lattice.hpp"
 #include "mc/dos.hpp"
 #include "mc/wang_landau.hpp"
+#include "obs/health.hpp"
 #include "par/minicomm.hpp"
 #include "par/partition.hpp"
 
 namespace dt::par {
+
+/// Sweep cap for driving a fresh walker into its window (and the
+/// production-phase walker onto the DOS support).
+inline constexpr std::int64_t kSeekSweeps = 2000;
 
 struct RewlOptions {
   int n_windows = 2;
@@ -38,7 +48,6 @@ struct RewlOptions {
   mc::WangLandauOptions wl;         ///< window bins are filled in per rank
   std::int64_t exchange_interval = 100;  ///< sweeps between exchanges
   std::int64_t max_sweeps = 200000;      ///< per-walker cap
-  std::int64_t seek_sweeps = 2000;       ///< cap for driving into windows
   std::uint64_t seed = 42;
   /// Heartbeat cadence of the progress reporter (active only while
   /// telemetry or the observability HTTP server is enabled; see src/obs).
@@ -145,5 +154,23 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
                     const ProposalFactory& make_proposal,
                     const IntervalHook& hook = {},
                     const RewlCheckpointConfig* checkpoint = nullptr);
+
+/// Rank of `rank`'s exchange partner in `round` (-1: none; the lower
+/// walker of a pair decides). Round parity alternates the active window
+/// pairs: even rounds pair windows (0,1),(2,3),..., odd rounds
+/// (1,2),(3,4),...; walker k of a window pairs with walker k of the
+/// neighbouring window.
+[[nodiscard]] int exchange_partner(int rank, std::int64_t round,
+                                   int n_windows, int walkers_per_window);
+
+/// Bin-wise mean of one window's walker ln g fragments (NaN: unvisited)
+/// over the walkers that visited each bin, summed in fragment order.
+[[nodiscard]] std::vector<double> average_window(
+    std::span<const std::vector<double>> fragments);
+
+/// Fold one window's final walker snapshots into its report.
+[[nodiscard]] RewlWindowReport fold_window(
+    int window, const Window& bins,
+    std::span<const obs::WalkerHealthSample> walkers);
 
 }  // namespace dt::par

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "mc/proposal.hpp"
+#include "obs/health.hpp"
+#include "obs/telemetry.hpp"
 #include "validate/oracle.hpp"
 
 namespace dt::par {
@@ -185,6 +191,179 @@ TEST(Rewl, RespectsMaxSweepsWhenUnconverged) {
   EXPECT_FALSE(result.converged);
   for (const auto& w : result.windows)
     EXPECT_LE(w.sweeps, 2 * (opts.max_sweeps + opts.exchange_interval));
+}
+
+// ---- stages that run without threads ----
+
+TEST(RewlStages, EvenRoundsPairWindowsFromZero) {
+  // 4 windows x 1 walker: even rounds pair (0,1) and (2,3).
+  EXPECT_EQ(exchange_partner(0, 0, 4, 1), 1);
+  EXPECT_EQ(exchange_partner(1, 0, 4, 1), 0);
+  EXPECT_EQ(exchange_partner(2, 0, 4, 1), 3);
+  EXPECT_EQ(exchange_partner(3, 0, 4, 1), 2);
+}
+
+TEST(RewlStages, OddRoundsLeaveFirstAndLastWindowOut) {
+  // Odd rounds pair (1,2) only: windows 0 and 3 sit the round out.
+  for (const std::int64_t round : {1, 3, 101}) {
+    EXPECT_EQ(exchange_partner(0, round, 4, 1), -1);
+    EXPECT_EQ(exchange_partner(1, round, 4, 1), 2);
+    EXPECT_EQ(exchange_partner(2, round, 4, 1), 1);
+    EXPECT_EQ(exchange_partner(3, round, 4, 1), -1);
+  }
+  // Odd window count: the last window idles on even rounds.
+  EXPECT_EQ(exchange_partner(2, 0, 3, 1), -1);
+  EXPECT_EQ(exchange_partner(2, 1, 3, 1), 1);
+  // A single window never exchanges.
+  EXPECT_EQ(exchange_partner(0, 0, 1, 1), -1);
+  EXPECT_EQ(exchange_partner(0, 1, 1, 1), -1);
+}
+
+TEST(RewlStages, WalkerKPairsWithWalkerKOfTheNeighbour) {
+  // 2 windows x 2 walkers: ranks 0,1 in window 0; ranks 2,3 in window 1.
+  EXPECT_EQ(exchange_partner(0, 0, 2, 2), 2);
+  EXPECT_EQ(exchange_partner(1, 0, 2, 2), 3);
+  EXPECT_EQ(exchange_partner(2, 0, 2, 2), 0);
+  EXPECT_EQ(exchange_partner(3, 0, 2, 2), 1);
+  EXPECT_EQ(exchange_partner(1, 1, 2, 2), -1);
+  EXPECT_EQ(exchange_partner(3, 1, 2, 2), -1);
+}
+
+TEST(RewlStages, AverageWindowSkipsNanHoles) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> fragments = {
+      {1.0, nan, 4.0, nan}, {3.0, 2.0, nan, nan}};
+  const std::vector<double> avg = average_window(fragments);
+  ASSERT_EQ(avg.size(), 4u);
+  EXPECT_EQ(avg[0], 2.0);
+  EXPECT_EQ(avg[1], 2.0);  // only the second walker visited bin 1
+  EXPECT_EQ(avg[2], 4.0);
+  EXPECT_TRUE(std::isnan(avg[3]));  // nobody visited bin 3
+}
+
+TEST(RewlStages, AverageOfOneFragmentIsItsInputBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> fragments = {
+      {0.1, nan, 1e300, -7.25e-12, 123456.789}};
+  const std::vector<double> avg = average_window(fragments);
+  ASSERT_EQ(avg.size(), fragments[0].size());
+  for (std::size_t i = 0; i < avg.size(); ++i) {
+    if (std::isnan(fragments[0][i])) {
+      EXPECT_TRUE(std::isnan(avg[i]));
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(avg[i]),
+                std::bit_cast<std::uint64_t>(fragments[0][i]));
+    }
+  }
+}
+
+TEST(RewlStages, FoldWindowTakesWorstFlatnessAndDeepestStage) {
+  obs::WalkerHealthSample a;
+  a.sweeps = 100;
+  a.f_stage = 3;
+  a.flatness = 0.9;
+  a.acceptance = 0.5;
+  a.round_trips = 2;
+  a.exch_attempted = 10;
+  a.exch_accepted = 4;
+  a.converged = true;
+  obs::WalkerHealthSample b = a;
+  b.sweeps = 300;
+  b.f_stage = 5;
+  b.flatness = 0.7;
+  b.acceptance = 0.3;
+  b.round_trips = 1;
+  b.exch_attempted = 10;
+  b.exch_accepted = 1;
+  b.converged = false;
+  const std::vector<obs::WalkerHealthSample> walkers = {a, b};
+  const RewlWindowReport wr = fold_window(1, Window{4, 20}, walkers);
+  EXPECT_EQ(wr.window, 1);
+  EXPECT_EQ(wr.lo_bin, 4);
+  EXPECT_EQ(wr.hi_bin, 20);
+  EXPECT_EQ(wr.sweeps, 400);
+  EXPECT_EQ(wr.f_stages, 5);
+  EXPECT_EQ(wr.flatness, 0.7);
+  EXPECT_EQ(wr.round_trips, 3u);
+  EXPECT_DOUBLE_EQ(wr.acceptance, 0.4);
+  EXPECT_DOUBLE_EQ(wr.exchange_acceptance, 0.25);
+  EXPECT_FALSE(wr.converged);
+}
+
+TEST(RewlStages, FoldWindowWithoutAttemptsHasZeroExchangeAcceptance) {
+  obs::WalkerHealthSample s;
+  s.sweeps = 50;
+  s.flatness = 0.8;
+  s.converged = true;
+  const std::vector<obs::WalkerHealthSample> walkers = {s};
+  const RewlWindowReport wr = fold_window(0, Window{0, 9}, walkers);
+  EXPECT_EQ(wr.exchange_acceptance, 0.0);
+  EXPECT_EQ(wr.flatness, 0.8);
+  EXPECT_TRUE(wr.converged);
+}
+
+/// Keeps the last `rewl_walker` event per rank.
+class LastWalkerEventSink final : public obs::Sink {
+ public:
+  using ByRank = std::map<std::int64_t, obs::Event>;
+  explicit LastWalkerEventSink(std::shared_ptr<ByRank> last)
+      : last_(std::move(last)) {}
+
+  void write(const obs::Event& event) override {
+    if (event.type != "rewl_walker") return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    last_->insert_or_assign(std::get<std::int64_t>(field(event, "rank")),
+                            event);
+  }
+  void flush() override {}
+
+  static const obs::FieldValue& field(const obs::Event& event,
+                                      const std::string& name) {
+    for (const auto& [key, value] : event.fields)
+      if (key == name) return value;
+    ADD_FAILURE() << "event lacks field " << name;
+    static const obs::FieldValue missing;
+    return missing;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::shared_ptr<ByRank> last_;
+};
+
+TEST(Rewl, OneSnapshotFeedsTelemetryAndHealthPlane) {
+  const auto& ex = exact();
+  const mc::EnergyGrid grid(ex.e_min - 0.5, ex.e_max + 0.5, 100);
+  auto opts = fast_options();
+  opts.walkers_per_window = 2;
+  opts.wl.log_f_final = 1e-2;
+  auto last = std::make_shared<LastWalkerEventSink::ByRank>();
+  obs::Telemetry::instance().add_sink(
+      std::make_unique<LastWalkerEventSink>(last));
+  const auto result =
+      run_rewl(ex.ham, ex.lat, 2, grid, opts, local_factory(ex.ham));
+  obs::Telemetry::instance().disable();
+  ASSERT_TRUE(result.converged);
+
+  const obs::HealthSnapshot health = obs::HealthRegistry::global().snapshot();
+  ASSERT_EQ(health.walkers.size(),
+            static_cast<std::size_t>(opts.total_ranks()));
+  ASSERT_EQ(last->size(), health.walkers.size());
+  for (const auto& w : health.walkers) {
+    SCOPED_TRACE(w.rank);
+    const obs::Event& event = last->at(w.rank);
+    auto get = [&](const char* name) {
+      return LastWalkerEventSink::field(event, name);
+    };
+    EXPECT_EQ(std::get<std::int64_t>(get("sweeps")), w.sweeps);
+    EXPECT_EQ(std::get<double>(get("flatness")), w.flatness);
+    EXPECT_EQ(std::get<double>(get("log_f")), w.log_f);
+    EXPECT_EQ(std::get<std::int64_t>(get("f_stage")), w.f_stage);
+    EXPECT_EQ(std::get<double>(get("energy")), w.energy);
+    EXPECT_EQ(std::get<std::int64_t>(get("window")), w.window);
+    // The local-swap baseline still carries the kernel fields, zeroed.
+    EXPECT_EQ(std::get<std::uint64_t>(get("vae_proposed")), 0u);
+  }
 }
 
 }  // namespace
