@@ -2,9 +2,12 @@
 //
 // These are the per-operation costs the cluster cost model abstracts:
 // swap Delta-E, full energy evaluation, a Wang-Landau sweep, VAE decode,
-// VAE training step and minicomm collectives.
+// VAE training step, minicomm collectives and checkpoint saves.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+
+#include "ckpt/checkpoint.hpp"
 #include "core/deepthermo.hpp"
 #include "nn/trainer.hpp"
 #include "par/minicomm.hpp"
@@ -282,6 +285,38 @@ void BM_MinicommBarrier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_MinicommBarrier)->Arg(2)->Arg(4);
+
+// The checkpoint CRC-32 that covers every saved and loaded byte.
+void BM_Crc32(benchmark::State& state) {
+  const std::string data(static_cast<std::size_t>(state.range(0)), '\x5a');
+  for (auto _ : state)
+    benchmark::DoNotOptimize(ckpt::crc32({data.data(), data.size()}));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(16777216);
+
+// One CheckpointStore::save (stream, fsync, rename, directory fsync) at
+// the paper-2000 manifest shape: three 18.4 MB rank records and the
+// 6.2 MB vae.pretrained blob, into a fresh directory under the temp dir.
+void BM_CheckpointSave(benchmark::State& state) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dt_bench_micro_ckpt";
+  std::filesystem::remove_all(dir);
+  ckpt::CheckpointStore store(dir.string(), /*keep_last=*/1);
+  ckpt::CheckpointBuilder builder;
+  builder.add("rewl.meta", std::string(20, '\x01'));
+  for (int r = 0; r < 3; ++r)
+    builder.add("rank" + std::to_string(r),
+                std::string(18'400'000, static_cast<char>('a' + r)));
+  builder.add("framework", std::string(64, '\x02'));
+  builder.add("vae.pretrained", std::string(6'200'000, 'w'));
+  std::size_t bytes = 0;
+  for (auto _ : state) bytes = store.save(builder).bytes;
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -5,9 +5,9 @@
 // pipeline phase, ...). Every component carries a CRC32 and the whole
 // file ends in a CRC32 trailer, so truncation or bit-rot is detected on
 // load rather than silently resumed from. Files are written
-// crash-consistently: serialize to <name>.tmp, flush, fsync, then
-// atomically rename into place -- a crash mid-save leaves the previous
-// generation untouched and loadable.
+// crash-consistently: stream to <name>.tmp, fsync, then atomically rename
+// into place -- a crash mid-save leaves the previous generation untouched
+// and loadable.
 //
 // A CheckpointStore manages a directory of numbered generations
 // (ckpt-000042.dtc): save() appends a new generation and prunes old
@@ -19,11 +19,14 @@
 // into component blobs via their own save_state/save methods.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -31,42 +34,107 @@
 
 namespace dt::ckpt {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). `seed` chains
-/// incremental computation: crc32(b, crc32(a)) == crc32(a + b).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8.
+/// `seed` chains incremental computation: crc32(b, crc32(a)) == crc32(a + b).
 [[nodiscard]] std::uint32_t crc32(std::span<const char> data,
                                   std::uint32_t seed = 0);
 
+/// crc32(a + b) from crc32(a), crc32(b) and |b| alone, without touching
+/// the bytes (zlib's crc32_combine).
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a,
+                                          std::uint32_t crc_b,
+                                          std::uint64_t len_b);
+
+/// Component payload bytes as the builder holds them: the byte buffer
+/// par::Communicator::gather_bytes moves between ranks without a copy.
+using Blob = std::vector<std::byte>;
+
+/// Unbuffered std::ostream that appends to a Blob: the Blob is current
+/// after every write, so a writer can reserve a length field and patch it
+/// once the bytes behind it are in.
+class BlobStream : public std::ostream {
+ public:
+  explicit BlobStream(Blob& blob) : std::ostream(nullptr), buf_(blob) {
+    rdbuf(&buf_);
+  }
+  BlobStream(const BlobStream&) = delete;
+  BlobStream& operator=(const BlobStream&) = delete;
+
+ private:
+  class Appender : public std::streambuf {
+   public:
+    explicit Appender(Blob& blob) : blob_(blob) {}
+
+   protected:
+    int_type overflow(int_type ch) override {
+      if (!traits_type::eq_int_type(ch, traits_type::eof()))
+        blob_.push_back(static_cast<std::byte>(traits_type::to_char_type(ch)));
+      return traits_type::not_eof(ch);
+    }
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+      const auto* bytes = reinterpret_cast<const std::byte*>(s);
+      blob_.insert(blob_.end(), bytes, bytes + n);
+      return n;
+    }
+
+   private:
+    Blob& blob_;
+  };
+  Appender buf_;
+};
+
 /// Accumulates named component blobs and encodes them into the on-disk
-/// manifest format (see DESIGN.md "Checkpoint manifest format").
+/// manifest format (see DESIGN.md "Checkpoint manifest format"). Each
+/// payload's CRC is taken once, when it is added.
 class CheckpointBuilder {
  public:
-  /// Add one component; names must be unique within a checkpoint.
-  void add(const std::string& name, std::string payload);
+  /// Add one component; names must be unique within a checkpoint. The
+  /// payload is moved in.
+  void add(const std::string& name, Blob payload);
+  /// Copying form, for bytes the caller keeps (e.g. weights it reuses).
+  void add(const std::string& name, std::string_view payload);
 
-  /// Convenience: stream-serialize a component in place.
+  /// Convenience: serialize a component straight into its payload.
   ///   builder.component("rank0", [&](std::ostream& os) { w.save_state(os); });
   template <class Fn>
   void component(const std::string& name, Fn&& serialize) {
-    std::ostringstream os(std::ios::binary);
+    Blob payload;
+    BlobStream os(payload);
     serialize(os);
-    add(name, std::move(os).str());
+    add(name, std::move(payload));
   }
 
   [[nodiscard]] std::size_t size() const { return components_.size(); }
 
   /// Serialize the manifest: header, component directory + payloads
-  /// (each CRC32-protected), file-level CRC32 trailer.
+  /// (each CRC32-protected), file-level CRC32 trailer. The same bytes
+  /// CheckpointStore::save streams to disk.
   [[nodiscard]] std::string encode(std::uint64_t generation) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> components_;
+  friend class CheckpointStore;
+
+  struct Component {
+    std::uint32_t crc = 0;
+    std::string name;
+    Blob payload;
+  };
+
+  /// Hands the manifest to `sink(std::span<const char>)` piece by piece in
+  /// file order (small directory runs, then each payload in place) and
+  /// returns the byte count. The file CRC is combined from the piece CRCs.
+  template <class Sink>
+  std::size_t write_pieces(std::uint64_t generation, Sink&& sink) const;
+
+  std::vector<Component> components_;
 };
 
 /// A decoded, validated checkpoint.
 class Checkpoint {
  public:
   /// Parse and validate `bytes`; throws dt::Error on bad magic, version
-  /// mismatch, truncation or any CRC failure.
+  /// mismatch, truncation or any CRC failure. Every length is checked
+  /// against the bytes left before anything is allocated.
   static Checkpoint decode(const std::string& bytes);
 
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
@@ -85,7 +153,7 @@ class Checkpoint {
 struct SaveReport {
   std::uint64_t generation = 0;
   std::size_t bytes = 0;
-  double seconds = 0.0;   ///< encode + write + fsync + rename
+  double seconds = 0.0;   ///< write + fsync + rename
   std::string path;
 };
 
@@ -99,8 +167,10 @@ class CheckpointStore {
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
   /// Write a new generation crash-consistently (tmp + fsync + rename),
-  /// bump metrics (ckpt.saves / ckpt.bytes_total / ckpt.last_*) and emit
-  /// a "checkpoint" telemetry event when telemetry is enabled.
+  /// streaming the builder's pieces straight to the temp file; a save
+  /// that fails before the rename removes its temp file and rethrows.
+  /// Bumps metrics (ckpt.saves / ckpt.bytes_total / ckpt.last_*) and
+  /// emits a "checkpoint" telemetry event when telemetry is enabled.
   SaveReport save(const CheckpointBuilder& builder);
 
   /// Newest generation that decodes and validates; corrupt/truncated

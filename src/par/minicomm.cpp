@@ -12,12 +12,16 @@ namespace dt::par {
 
 void Communicator::send_bytes(int dest, int tag,
                               std::span<const std::byte> data) {
+  send_bytes(dest, tag, std::vector<std::byte>(data.begin(), data.end()));
+}
+
+void Communicator::send_bytes(int dest, int tag,
+                              std::vector<std::byte> data) {
   DT_CHECK_MSG(dest >= 0 && dest < size_, "send to invalid rank " << dest);
   detail::Mailbox& mb = *ctx_->mailboxes[static_cast<std::size_t>(dest)];
   {
     MutexLock lock(mb.mutex);
-    mb.messages.push_back(
-        detail::Message{rank_, tag, {data.begin(), data.end()}});
+    mb.messages.push_back(detail::Message{rank_, tag, std::move(data)});
   }
   mb.cv.notify_all();
 }
@@ -44,6 +48,19 @@ std::vector<std::byte> Communicator::recv_bytes(int source, int tag) {
     // rechecked even if the matching notify was consumed elsewhere.
     mb.cv.wait_for(mb.mutex, std::chrono::milliseconds(50));
   }
+}
+
+std::vector<std::vector<std::byte>> Communicator::gather_bytes(
+    std::vector<std::byte> data, int root) {
+  if (rank_ != root) {
+    send_bytes(root, kGatherTag, std::move(data));
+    return {};
+  }
+  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size_));
+  for (int r = 0; r < size_; ++r)
+    out[static_cast<std::size_t>(r)] =
+        r == root ? std::move(data) : recv_bytes(r, kGatherTag);
+  return out;
 }
 
 void Communicator::barrier() {

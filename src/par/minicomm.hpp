@@ -67,6 +67,8 @@ class Communicator {
   // ---- point to point ----
 
   void send_bytes(int dest, int tag, std::span<const std::byte> data);
+  /// Owning form: the buffer is moved into the message, not copied.
+  void send_bytes(int dest, int tag, std::vector<std::byte> data);
   /// Blocks until a message from `source` with `tag` arrives.
   std::vector<std::byte> recv_bytes(int source, int tag);
 
@@ -162,6 +164,12 @@ class Communicator {
     }
     return out;
   }
+
+  /// gather() of owned byte buffers: each buffer is moved into the root's
+  /// mailbox and out again (the root's own straight into place), never
+  /// copied.
+  std::vector<std::vector<std::byte>> gather_bytes(std::vector<std::byte> data,
+                                                   int root);
 
  private:
   static constexpr int kBcastTag = -1;

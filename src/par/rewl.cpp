@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -340,9 +341,11 @@ class RankWalker {
     return record;
   }
 
-  void save_checkpoint() {
-    DT_SPAN("rewl.checkpoint");
-    std::ostringstream os(std::ios::binary);
+  /// This rank's `rankN` component: walker state, exchange stats and
+  /// RNG, then the caller extras in write_string's layout.
+  [[nodiscard]] ckpt::Blob rank_record() const {
+    ckpt::Blob record;
+    ckpt::BlobStream os(record);
     walker_.save_state(os);
     write_pod(os, exch_attempted_);
     write_pod(os, exch_accepted_);
@@ -351,13 +354,20 @@ class RankWalker {
     const auto& save_extra = run_.checkpoint->save_extra;
     write_pod(os, static_cast<std::uint8_t>(save_extra ? 1 : 0));
     if (save_extra) {
-      std::ostringstream extra(std::ios::binary);
-      save_extra(rank_, extra);
-      write_string(os, std::move(extra).str());
+      // The extras are written in place: reserve their u64 length, let
+      // the caller append, then patch the length.
+      const std::size_t at = record.size();
+      write_pod<std::uint64_t>(os, 0);
+      save_extra(rank_, os);
+      const std::uint64_t n = record.size() - at - sizeof(std::uint64_t);
+      std::memcpy(record.data() + at, &n, sizeof(n));
     }
-    const std::string record = std::move(os).str();
-    const auto records = comm_.gather<char>(
-        std::span<const char>(record.data(), record.size()), 0);
+    return record;
+  }
+
+  void save_checkpoint() {
+    DT_SPAN("rewl.checkpoint");
+    auto records = comm_.gather_bytes(rank_record(), 0);
     if (rank_ == 0) {
       ckpt::CheckpointBuilder builder;
       builder.component("rewl.meta", [&](std::ostream& ms) {
@@ -369,7 +379,7 @@ class RankWalker {
       });
       for (std::size_t r = 0; r < records.size(); ++r)
         builder.add(rank_component(static_cast<int>(r)),
-                    std::string(records[r].begin(), records[r].end()));
+                    std::move(records[r]));
       if (run_.checkpoint->add_components)
         run_.checkpoint->add_components(builder);
       const ckpt::SaveReport saved = run_.checkpoint->store->save(builder);

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ckpt/fault.hpp"
 #include "ckpt/signal.hpp"
@@ -45,6 +49,50 @@ void write_file(const fs::path& p, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+/// table-driven crc32 must reproduce bitwise.
+std::uint32_t bitwise_crc32(std::span<const char> data, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char byte : data) {
+    c ^= static_cast<std::uint8_t>(byte);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// Deterministic non-repeating bytes (LCG high bytes).
+std::string pseudo_bytes(std::size_t n, std::uint32_t seed) {
+  std::string out(n, '\0');
+  std::uint32_t x = seed;
+  for (char& c : out) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  return out;
+}
+
+/// The manifest encoder as it was before saves were streamed: one
+/// ostringstream image, bytewise CRCs, file CRC by a second pass. Saved
+/// files must stay byte-identical to it.
+std::string reference_encode(
+    const std::vector<std::pair<std::string, std::string>>& components,
+    std::uint64_t generation) {
+  std::ostringstream os(std::ios::binary);
+  write_pod(os, 0x44'54'43'4B'50'54'30'31ULL);  // "DTCKPT01"
+  write_pod<std::uint32_t>(os, 1);
+  write_pod(os, generation);
+  write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(components.size()));
+  for (const auto& [name, payload] : components) {
+    write_string(os, name);
+    write_pod<std::uint32_t>(os, bitwise_crc32(payload, 0));
+    write_string(os, payload);
+  }
+  std::string bytes = std::move(os).str();
+  const std::uint32_t file_crc = bitwise_crc32(bytes, 0);
+  bytes.append(reinterpret_cast<const char*>(&file_crc), sizeof(file_crc));
+  return bytes;
+}
+
 TEST(Crc32, MatchesKnownVector) {
   // The IEEE 802.3 check value for "123456789".
   const std::string data = "123456789";
@@ -58,6 +106,38 @@ TEST(Crc32, SeedChainsIncrementally) {
   const auto chained =
       crc32({b.data(), b.size()}, crc32({a.data(), a.size()}));
   EXPECT_EQ(whole, chained);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryAlignmentAndLength) {
+  const std::string buf = pseudo_bytes(16 + 300, 7);
+  for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const std::span<const char> data(buf.data() + off, len);
+        ASSERT_EQ(crc32(data, seed), bitwise_crc32(data, seed))
+            << "seed " << seed << " offset " << off << " length " << len;
+        // Chained over a split point inside the span.
+        const std::size_t cut = len / 3;
+        ASSERT_EQ(crc32(data.subspan(cut), crc32(data.first(cut), seed)),
+                  bitwise_crc32(data, seed))
+            << "chained, offset " << off << " length " << len;
+      }
+    }
+    const std::string big = pseudo_bytes(std::size_t{1} << 20, 11);
+    EXPECT_EQ(crc32(big, seed), bitwise_crc32(big, seed));
+  }
+}
+
+TEST(Crc32, CombineMatchesCrcOfConcatenation) {
+  const std::string big = pseudo_bytes((std::size_t{1} << 20) + 5, 3);
+  for (const std::size_t len_a : {0u, 1u, 7u, 300u}) {
+    for (const std::size_t len_b : {0u, 1u, 8u, 301u, 4096u, 1u << 20}) {
+      const std::string a = pseudo_bytes(len_a, 1);
+      const std::string b = big.substr(0, len_b);
+      EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), crc32(a + b))
+          << "|a| " << len_a << " |b| " << len_b;
+    }
+  }
 }
 
 TEST(Checkpoint, EncodeDecodeRoundTripsComponents) {
@@ -142,6 +222,23 @@ TEST(Checkpoint, BitFlipAnywhereIsDetected) {
   }
 }
 
+TEST(Checkpoint, OversizedLengthIsAnErrorNotAnAllocation) {
+  CheckpointBuilder builder;
+  builder.add("x", "payload");
+  const std::string good = builder.encode(1);
+  // Header: u64 magic, u32 version, u64 generation, u32 count; then the
+  // name's u64 length, the 1-byte name, its u32 CRC, the payload length.
+  for (const std::size_t at : {std::size_t{24}, std::size_t{24 + 8 + 1 + 4}}) {
+    std::string bad = good;
+    const std::uint64_t huge = std::uint64_t{1} << 60;
+    std::memcpy(bad.data() + at, &huge, sizeof(huge));
+    const std::size_t body = bad.size() - sizeof(std::uint32_t);
+    const std::uint32_t file_crc = crc32({bad.data(), body});
+    std::memcpy(bad.data() + body, &file_crc, sizeof(file_crc));
+    EXPECT_THROW(Checkpoint::decode(bad), dt::Error) << "length at " << at;
+  }
+}
+
 TEST(CheckpointStore, SaveLoadRoundTrip) {
   TempDir dir("ckpt_roundtrip");
   CheckpointStore store(dir.str());
@@ -208,6 +305,75 @@ TEST(CheckpointStore, TruncatedNewestFallsBack) {
   const auto ck = store.load_latest();
   ASSERT_TRUE(ck.has_value());
   EXPECT_EQ(ck->generation(), 1u);
+}
+
+TEST(CheckpointStore, OversizedLengthNewestFallsBack) {
+  TempDir dir("ckpt_oversized");
+  CheckpointStore store(dir.str());
+  CheckpointBuilder b1;
+  b1.add("x", "generation-one");
+  store.save(b1);
+
+  // Generation 2 with a valid file CRC but a payload length of 2^60.
+  CheckpointBuilder b2;
+  b2.add("x", "generation-two");
+  std::string bytes = b2.encode(2);
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + 24 + 8 + 1 + 4, &huge, sizeof(huge));
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t file_crc = crc32({bytes.data(), body});
+  std::memcpy(bytes.data() + body, &file_crc, sizeof(file_crc));
+  write_file(dir.path / CheckpointStore::filename(2), bytes);
+
+  const auto ck = store.load_latest();
+  ASSERT_TRUE(ck.has_value());
+  EXPECT_EQ(ck->generation(), 1u);
+  EXPECT_EQ(ck->blob("x"), "generation-one");
+}
+
+TEST(CheckpointStore, SaveWritesExactlyTheEncodedBytes) {
+  const std::vector<std::pair<std::string, std::string>> components = {
+      {"empty", ""},
+      {"one", pseudo_bytes(1, 5)},
+      {"seven", pseudo_bytes(7, 6)},
+      {"big", pseudo_bytes((std::size_t{3} << 20) + 3, 9)},
+  };
+  TempDir dir("ckpt_exact_bytes");
+  CheckpointStore store(dir.str());
+  CheckpointBuilder builder;
+  for (const auto& [name, payload] : components) builder.add(name, payload);
+  const SaveReport report = store.save(builder);
+  const std::string on_disk = read_file(report.path);
+  EXPECT_EQ(report.bytes, on_disk.size());
+  EXPECT_TRUE(on_disk == builder.encode(report.generation));
+  EXPECT_TRUE(on_disk == reference_encode(components, report.generation));
+
+  const CheckpointBuilder none;
+  const SaveReport empty = store.save(none);
+  EXPECT_EQ(read_file(empty.path), reference_encode({}, empty.generation));
+}
+
+TEST(CheckpointStore, FailedSaveRemovesItsTempFile) {
+  TempDir dir("ckpt_failed_save");
+  CheckpointStore store(dir.str());
+  CheckpointBuilder b1;
+  b1.add("x", "generation-one");
+  store.save(b1);
+
+  auto& inj = FaultInjector::instance();
+  inj.arm("ckpt.store.write", /*skip_hits=*/0);
+  CheckpointBuilder b2;
+  b2.add("x", "generation-two");
+  EXPECT_THROW(store.save(b2), FaultInjected);
+  inj.disarm();
+
+  for (const auto& entry : fs::directory_iterator(dir.path))
+    EXPECT_EQ(entry.path().filename(), CheckpointStore::filename(1))
+        << entry.path();
+  const auto ck = store.load_latest();
+  ASSERT_TRUE(ck.has_value());
+  EXPECT_EQ(ck->generation(), 1u);
+  EXPECT_EQ(ck->blob("x"), "generation-one");
 }
 
 TEST(CheckpointStore, PrunesToKeepLast) {

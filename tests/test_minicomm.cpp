@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 
@@ -124,6 +125,28 @@ TEST(Minicomm, GatherVariableLength) {
       EXPECT_EQ(all[2], (std::vector<int>{2, 2, 2}));
     } else {
       EXPECT_TRUE(all.empty());
+    }
+  });
+}
+
+TEST(Minicomm, GatherBytesMovesEveryBuffer) {
+  // Each rank records where it allocated its buffer before sending; the
+  // mailbox mutex orders that write before the root's receive.
+  std::array<const std::byte*, 3> sent{};
+  run_ranks(3, [&](Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    std::vector<std::byte> mine(r + 1, static_cast<std::byte>(r));
+    sent[r] = mine.data();
+    const auto all = comm.gather_bytes(std::move(mine), 1);
+    if (comm.rank() != 1) {
+      EXPECT_TRUE(all.empty());
+      return;
+    }
+    ASSERT_EQ(all.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(all[k],
+                std::vector<std::byte>(k + 1, static_cast<std::byte>(k)));
+      EXPECT_EQ(all[k].data(), sent[k]) << "rank " << k << "'s buffer copied";
     }
   });
 }
