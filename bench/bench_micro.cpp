@@ -2,7 +2,8 @@
 //
 // These are the per-operation costs the cluster cost model abstracts:
 // swap Delta-E, full energy evaluation, a Wang-Landau sweep, VAE decode,
-// VAE training step, minicomm collectives and checkpoint saves.
+// VAE training step and its loss, minicomm collectives and checkpoint
+// saves.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -260,6 +261,27 @@ BENCHMARK(BM_VaeTrainStep)
     ->Args({4, 8, 64, 16})
     ->Args({4, 32, 64, 16})
     ->Args({10, 32, 96, 12});
+
+// The training loss at the paper shape: batch 32 x 2000 sites = 64000
+// rows of 4 species logits, one fused softmax cross-entropy forward (the
+// forward also leaves the gradient for the backward pass).
+void BM_CrossEntropy(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto classes = static_cast<std::size_t>(state.range(1));
+  Xoshiro256ss rng(11);
+  const auto logits = tensor::Tensor::randn(
+      {static_cast<std::int64_t>(rows), static_cast<std::int64_t>(classes)},
+      2.0f, rng, /*requires_grad=*/true);
+  std::vector<std::uint8_t> labels(rows);
+  for (auto& l : labels)
+    l = static_cast<std::uint8_t>(uniform_index(rng, classes));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        tensor::cross_entropy_with_logits(logits, labels).item());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_CrossEntropy)->Args({64000, 4});
 
 void BM_MinicommAllreduce(benchmark::State& state) {
   const auto ranks = static_cast<int>(state.range(0));

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   for (std::int32_t b = 0; b < result.grid.n_bins(); ++b) {
     if (!result.dos.visited(b)) continue;
     std::printf("%6d %12.4f %14.4f\n", b, result.grid.energy(b),
-                result.dos.log_g(b));
+                result.dos.log_g(b).value());
   }
 
   const double span = result.dos.log_range();

@@ -1,50 +1,14 @@
 #include "nn/vae.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 
-#include <bit>
-#include <cstdint>
-
 #include "common/error.hpp"
+#include "tensor/vec_math.hpp"
 
 namespace dt::nn {
-
-namespace detail {
-
-/// Branch-free single-precision exp, ~2e-7 relative error: 2^(x/ln 2)
-/// with the integer part folded into the exponent bits and a degree-5
-/// polynomial for 2^frac. Pure arithmetic + bit_cast, so gcc
-/// auto-vectorises loops over it (16-wide with AVX-512), unlike calls
-/// into libm. Accuracy note: these probabilities define the proposal
-/// distribution itself -- the SAME values are used to sample and to
-/// evaluate both densities of the MH ratio -- so a (deterministic)
-/// approximate exp leaves detailed balance exact.
-/// Precondition: x <= 0 (softmax feeds logit - rowmax). Inputs below
-/// -126 ln 2 flush to exactly 0 via the integer exponent clamp -- the
-/// right answer for an underflowing softmax term, and branch-free where
-/// a float clamp (std::min/max) would block gcc's if-conversion.
-inline float vec_expf(float x) {
-  const float z = x * 1.4426950408889634f;  // x / ln 2
-  const float fl = std::floor(z);
-  const float r = z - fl;                   // in [0, 1)
-  // 2^r, minimax-ish degree 5 (coefficients ~ (ln 2)^k / k!).
-  float p = 1.8775767e-3f;
-  p = p * r + 8.9893397e-3f;
-  p = p * r + 5.5826318e-2f;
-  p = p * r + 2.4015361e-1f;
-  p = p * r + 6.9315308e-1f;
-  p = p * r + 9.9999994e-1f;
-  std::int32_t biased = static_cast<std::int32_t>(fl) + 127;
-  biased = biased < 0 ? 0 : biased;  // 2^fl underflow -> scale = 0.0f
-  const float scale =
-      std::bit_cast<float>(static_cast<std::uint32_t>(biased) << 23);
-  return p * scale;
-}
-
-}  // namespace detail
 
 using tensor::Tensor;
 
@@ -132,13 +96,13 @@ VaeLossParts Vae::loss(std::span<const std::uint8_t> occupancies,
   Tensor z = mu + tensor::exp(tensor::scale(logvar, 0.5f)) * eps;
   if (options_.condition_dim > 0) z = tensor::concat_cols(z, cond_tensor);
 
-  const Tensor logits = decoder_->forward(z);
-  const Tensor flat =
-      logits.reshape({batch * options_.n_sites, options_.n_species});
-  // cross_entropy is a mean over B*n_sites rows; multiply by n_sites to
-  // get the mean per-sample reconstruction NLL.
+  // The decoder's (B, n_sites * n_species) logits are read in place as
+  // B * n_sites rows of n_species. cross_entropy is a mean over those
+  // rows; multiply by n_sites to get the mean per-sample reconstruction
+  // NLL.
   const Tensor recon = tensor::scale(
-      tensor::cross_entropy_with_logits(flat, occupancies),
+      tensor::cross_entropy_with_logits(decoder_->forward(z), occupancies,
+                                        options_.n_species),
       static_cast<float>(options_.n_sites));
 
   // KL(q||N(0,I)) = -1/2 sum(1 + logvar - mu^2 - e^logvar), mean over B.
@@ -209,7 +173,7 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
   const float floor_each = options_.prob_floor / static_cast<float>(s);
   if (s == 4) {
     // Quaternary fast path (NbMoTaW is the paper's workload): one fused
-    // pass, everything in registers. detail::vec_expf is branch-free
+    // pass, everything in registers. tensor::vec_expf is branch-free
     // polynomial arithmetic, so gcc keeps the whole body vectorised
     // where a std::exp call would serialise it.
     for (std::size_t site = 0; site < blocks; ++site) {
@@ -218,10 +182,10 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
       const float m01 = block[0] < block[1] ? block[1] : block[0];
       const float m23 = block[2] < block[3] ? block[3] : block[2];
       const float hi = m01 < m23 ? m23 : m01;
-      const float e0 = detail::vec_expf(block[0] - hi);
-      const float e1 = detail::vec_expf(block[1] - hi);
-      const float e2 = detail::vec_expf(block[2] - hi);
-      const float e3 = detail::vec_expf(block[3] - hi);
+      const float e0 = tensor::vec_expf(block[0] - hi);
+      const float e1 = tensor::vec_expf(block[1] - hi);
+      const float e2 = tensor::vec_expf(block[2] - hi);
+      const float e3 = tensor::vec_expf(block[3] - hi);
       const float scale = one_minus_floor / (e0 + e1 + e2 + e3);
       orow[0] = scale * e0 + floor_each;
       orow[1] = scale * e1 + floor_each;
@@ -241,7 +205,7 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
     for (std::size_t k = 0; k < s; ++k) him[site * s + k] = hi;
   }
   for (std::size_t i = 0; i < lv.size(); ++i)
-    out[i] = detail::vec_expf(lv[i] - him[i]);
+    out[i] = tensor::vec_expf(lv[i] - him[i]);
   for (std::size_t site = 0; site < blocks; ++site) {
     float* block = out + site * s;
     float zsum = 0.0f;

@@ -342,9 +342,12 @@ class RankWalker {
   }
 
   /// This rank's `rankN` component: walker state, exchange stats and
-  /// RNG, then the caller extras in write_string's layout.
-  [[nodiscard]] ckpt::Blob rank_record() const {
+  /// RNG, then the caller extras in write_string's layout. The buffer
+  /// starts at the previous record's size, which the next one rarely
+  /// exceeds, so it is written without regrowth.
+  [[nodiscard]] ckpt::Blob rank_record() {
     ckpt::Blob record;
+    record.reserve(last_record_bytes_);
     ckpt::BlobStream os(record);
     walker_.save_state(os);
     write_pod(os, exch_attempted_);
@@ -362,6 +365,7 @@ class RankWalker {
       const std::uint64_t n = record.size() - at - sizeof(std::uint64_t);
       std::memcpy(record.data() + at, &n, sizeof(n));
     }
+    last_record_bytes_ = record.size();
     return record;
   }
 
@@ -452,6 +456,7 @@ class RankWalker {
   std::int64_t exch_accepted_ = 0;
   std::int64_t round_ = 0;
   std::int64_t last_saved_round_ = -1;
+  std::size_t last_record_bytes_ = 0;  // size of the last rank_record()
   int partner_window_ = -1;
   Stopwatch save_throttle_;  // rank 0: time since the last periodic save
   Stopwatch block_clock_;

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/vec_math.hpp"
 
 namespace dt::tensor {
 
@@ -590,33 +591,114 @@ Tensor log_softmax(const Tensor& logits) {
   return Tensor(node);
 }
 
+namespace {
+
+/// Per-row negative log-likelihood into `nll` and softmax - onehot into
+/// `d`, for `rows` rows of `cols` logits. Every exp and log is the
+/// branch-free vec_expf / vec_logf, so each pass below vectorises.
+/// Per row: hi = max, e_c = exp(x_c - hi) once, nll = (hi - x_label) +
+/// log(sum e) and d_c = e_c * (1 / sum e) - [c == label]. The quaternary
+/// path and the flat passes do the same arithmetic in the same order.
+void softmax_xent_rows(const float* x, const std::uint8_t* labels,
+                       std::size_t rows, std::size_t cols, float* nll,
+                       float* d) {
+  if (cols == 4) {
+    // Quaternary fast path, as the decode softmax's: one fused pass with
+    // the row in registers and the label picked by selects.
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = x + r * 4;
+      float* g = d + r * 4;
+      const std::uint32_t label = labels[r];
+      const float m01 = row[0] < row[1] ? row[1] : row[0];
+      const float m23 = row[2] < row[3] ? row[3] : row[2];
+      const float hi = m01 < m23 ? m23 : m01;
+      const float e0 = vec_expf(row[0] - hi);
+      const float e1 = vec_expf(row[1] - hi);
+      const float e2 = vec_expf(row[2] - hi);
+      const float e3 = vec_expf(row[3] - hi);
+      const float z = e0 + e1 + e2 + e3;
+      const float inv = 1.0f / z;
+      const float xl = label == 0   ? row[0]
+                       : label == 1 ? row[1]
+                       : label == 2 ? row[2]
+                                    : row[3];
+      nll[r] = (hi - xl) + vec_logf(z);
+      g[0] = e0 * inv - (label == 0 ? 1.0f : 0.0f);
+      g[1] = e1 * inv - (label == 1 ? 1.0f : 0.0f);
+      g[2] = e2 * inv - (label == 2 ? 1.0f : 0.0f);
+      g[3] = e3 * inv - (label == 3 ? 1.0f : 0.0f);
+    }
+    return;
+  }
+  // Any other class count: flat passes, so the exp pass -- rows * cols
+  // elements -- vectorises although cols is a runtime value. `d` holds
+  // the row max replicated per entry, then e_c in place, then the
+  // gradient; `nll` holds the row max, then the loss.
+  const std::size_t n = rows * cols;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = x + r * cols;
+    float hi = row[0];
+    for (std::size_t c = 1; c < cols; ++c) hi = std::max(hi, row[c]);
+    nll[r] = hi;
+    std::fill_n(d + r * cols, cols, hi);
+  }
+  for (std::size_t i = 0; i < n; ++i) d[i] = vec_expf(x[i] - d[i]);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = x + r * cols;
+    float* g = d + r * cols;
+    const std::size_t label = labels[r];
+    float z = 0.0f;
+    for (std::size_t c = 0; c < cols; ++c) z += g[c];
+    const float inv = 1.0f / z;
+    nll[r] = (nll[r] - row[label]) + vec_logf(z);
+    for (std::size_t c = 0; c < cols; ++c) g[c] *= inv;
+    g[label] -= 1.0f;
+  }
+}
+
+}  // namespace
+
 Tensor cross_entropy_with_logits(const Tensor& logits,
                                  std::span<const std::uint8_t> labels) {
   DT_CHECK_MSG(logits.shape().size() == 2, "cross_entropy expects 2-D logits");
-  const auto rows = static_cast<std::size_t>(logits.shape()[0]);
-  const auto cols = static_cast<std::size_t>(logits.shape()[1]);
-  DT_CHECK_MSG(labels.size() == rows, "cross_entropy: label count mismatch");
-  const auto& lv = logits.node()->value;
+  return cross_entropy_with_logits(logits, labels, logits.shape()[1]);
+}
 
-  // Per-element softmax - onehot, the gradient up to the 1/R and upstream
-  // scale: computed here so the backward pass keeps no copy of labels.
-  std::vector<float> dlogits(lv.size());
-  float loss = 0.0f;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = &lv[r * cols];
-    float hi = row[0];
-    for (std::size_t c = 1; c < cols; ++c) hi = std::max(hi, row[c]);
-    float z = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) z += std::exp(row[c] - hi);
-    const float log_z = hi + std::log(z);
-    const std::size_t label = labels[r];
-    DT_CHECK(label < cols);
-    loss -= row[label] - log_z;
-    float* d = &dlogits[r * cols];
-    for (std::size_t c = 0; c < cols; ++c)
-      d[c] = std::exp(row[c] - log_z) - (c == label ? 1.0f : 0.0f);
-  }
-  loss /= static_cast<float>(rows);
+Tensor cross_entropy_with_logits(const Tensor& logits,
+                                 std::span<const std::uint8_t> labels,
+                                 std::int64_t classes) {
+  DT_CHECK_MSG(logits.shape().size() == 2, "cross_entropy expects 2-D logits");
+  DT_CHECK_MSG(classes >= 1 && logits.shape()[1] % classes == 0,
+               "cross_entropy: " << classes << " classes do not tile rows of "
+                                 << logits.shape()[1]);
+  const auto cols = static_cast<std::size_t>(classes);
+  const auto rows = static_cast<std::size_t>(logits.numel()) / cols;
+  DT_CHECK_MSG(labels.size() == rows, "cross_entropy: label count mismatch");
+  std::uint8_t top = 0;
+  for (const std::uint8_t l : labels) top = std::max(top, l);
+  DT_CHECK_MSG(top < cols, "cross_entropy: label " << int{top}
+                                                   << " out of range for "
+                                                   << cols << " classes");
+
+  // softmax - onehot, the gradient up to the 1/R and upstream scale:
+  // computed here so the backward pass keeps no copy of labels.
+  std::vector<float> dlogits(rows * cols);
+  std::vector<float> nll(rows);
+  softmax_xent_rows(logits.node()->value.data(), labels.data(), rows, cols,
+                    nll.data(), dlogits.data());
+  // Sum over kLanes fixed lanes, folded in lane order: the same rows give
+  // the same bits whatever the vector width.
+  constexpr std::size_t kLanes = 16;
+  double lane[kLanes] = {};
+  std::size_t r = 0;
+  for (; r + kLanes <= rows; r += kLanes)
+    for (std::size_t j = 0; j < kLanes; ++j)
+      lane[j] += static_cast<double>(nll[r + j]);
+  for (std::size_t j = 0; r + j < rows; ++j)
+    lane[j] += static_cast<double>(nll[r + j]);
+  double total = 0.0;
+  for (const double v : lane) total += v;
+  const auto loss = static_cast<float>(total / static_cast<double>(rows));
 
   auto node = make_op({1}, {loss}, {logits.node()},
                       [rows, dl = std::move(dlogits)](Node& self) {

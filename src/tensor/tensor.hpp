@@ -176,9 +176,17 @@ Tensor mean(const Tensor& a);
 /// log softmax over the last axis of a 2-D tensor.
 Tensor log_softmax(const Tensor& logits);
 /// Mean cross-entropy of 2-D logits (R, C) against class labels (size R,
-/// each < C). Fused softmax backward (prob - onehot)/R.
+/// each < C). Fused softmax backward (prob - onehot)/R. One vectorised
+/// pass with the branch-free exp/log of tensor/vec_math.hpp.
 Tensor cross_entropy_with_logits(const Tensor& logits,
                                  std::span<const std::uint8_t> labels);
+/// The same loss over 2-D logits (R, K) read in place as R*K/classes rows
+/// of `classes` logits (K a multiple of classes), e.g. a decoder's
+/// (batch, n_sites * species) output: no reshape node, no copy. Bitwise
+/// the two-argument form on logits.reshape({R*K/classes, classes}).
+Tensor cross_entropy_with_logits(const Tensor& logits,
+                                 std::span<const std::uint8_t> labels,
+                                 std::int64_t classes);
 
 // operator sugar
 inline Tensor operator+(const Tensor& a, const Tensor& b) { return add(a, b); }

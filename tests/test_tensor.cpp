@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <utility>
 
 #include "common/error.hpp"
+#include "tensor/vec_math.hpp"
 
 namespace dt::tensor {
 namespace {
@@ -146,6 +149,147 @@ TEST(Ops, OnehotMatmulRejectsBadInput) {
   // The tail gets no gradient, so a trainable one is refused.
   const auto trainable = Tensor::zeros({1, 1}, /*requires_grad=*/true);
   EXPECT_THROW((void)onehot_matmul(ok, 3, trainable, w), dt::Error);
+}
+
+// ---- cross-entropy against a double-precision reference ----
+
+// Logits of `classes` columns: Gaussian rows, the first six replaced by
+// rows at +-80 whose label sits on the -80 logit (probability ~e^-160,
+// loss 160), on the +80 logit (loss ~0), or among ties. 37 rows: not a
+// multiple of the 16 reduction lanes.
+struct XentCase {
+  std::vector<float> logits;
+  std::vector<std::uint8_t> labels;
+};
+
+XentCase xent_case(std::size_t classes, std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  XentCase c;
+  const std::size_t rows = 37;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < classes; ++k)
+      c.logits.push_back(3.0f * static_cast<float>(normal01(rng)));
+    c.labels.push_back(static_cast<std::uint8_t>(uniform_index(rng, classes)));
+  }
+  const auto set_row = [&](std::size_t r, float fill, std::size_t hot,
+                           float hot_value, std::size_t label) {
+    for (std::size_t k = 0; k < classes; ++k)
+      c.logits[r * classes + k] = k == hot ? hot_value : fill;
+    c.labels[r] = static_cast<std::uint8_t>(label);
+  };
+  set_row(0, -80.0f, classes - 1, 80.0f, 0);            // p(label) ~ e^-160
+  set_row(1, -80.0f, 0, 80.0f, 0);                      // p(label) ~ 1
+  set_row(2, 80.0f, 1, -80.0f, 1);                      // label is the low one
+  set_row(3, 0.0f, 0, 0.0f, classes - 1);               // uniform row
+  set_row(4, 80.0f, classes - 1, 80.0f, classes / 2);   // all at +80
+  set_row(5, -80.0f, 0, -80.0f, 1);                     // all at -80
+  return c;
+}
+
+TEST(CrossEntropy, MatchesDoubleReferenceForTwoToFiveClasses) {
+  for (const std::size_t classes : {2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(testing::Message() << classes << " classes");
+    const XentCase c = xent_case(classes, 40 + classes);
+    const std::size_t rows = c.labels.size();
+    auto x = Tensor::from_data(
+        {static_cast<std::int64_t>(rows), static_cast<std::int64_t>(classes)},
+        c.logits, /*requires_grad=*/true);
+    Tensor loss = cross_entropy_with_logits(x, c.labels);
+    loss.backward();
+
+    double ref_loss = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = &c.logits[r * classes];
+      double hi = row[0];
+      for (std::size_t k = 1; k < classes; ++k)
+        hi = std::max(hi, static_cast<double>(row[k]));
+      double z = 0.0;
+      for (std::size_t k = 0; k < classes; ++k)
+        z += std::exp(static_cast<double>(row[k]) - hi);
+      const double log_z = hi + std::log(z);
+      ref_loss += log_z - static_cast<double>(row[c.labels[r]]);
+      for (std::size_t k = 0; k < classes; ++k) {
+        const double p = std::exp(static_cast<double>(row[k]) - log_z);
+        const double ref_grad =
+            (p - (k == c.labels[r] ? 1.0 : 0.0)) / static_cast<double>(rows);
+        EXPECT_NEAR(static_cast<double>(x.grad()[r * classes + k]), ref_grad,
+                    1e-6 / static_cast<double>(rows))
+            << "row " << r << " class " << k;
+      }
+    }
+    ref_loss /= static_cast<double>(rows);
+    EXPECT_NEAR(static_cast<double>(loss.item()), ref_loss, 1e-6 * ref_loss);
+  }
+}
+
+TEST(CrossEntropy, OutOfRangeLabelIsAnError) {
+  for (const std::int64_t classes : {3, 4}) {
+    const auto logits = Tensor::zeros({2, classes});
+    const std::vector<std::uint8_t> bad = {
+        0, static_cast<std::uint8_t>(classes)};
+    EXPECT_THROW((void)cross_entropy_with_logits(logits, bad), dt::Error);
+    const auto wide = Tensor::zeros({1, 2 * classes});
+    EXPECT_THROW((void)cross_entropy_with_logits(wide, bad, classes),
+                 dt::Error);
+  }
+  // The class count must tile the rows of the in-place form.
+  EXPECT_THROW((void)cross_entropy_with_logits(
+                   Tensor::zeros({2, 6}), std::vector<std::uint8_t>(3, 0), 4),
+               dt::Error);
+}
+
+// Reading a (B, n * s) tensor in place as B * n rows of s logits is
+// bitwise the two-argument form on the reshaped tensor: loss and every
+// gradient entry.
+TEST(CrossEntropy, InPlaceRowsAreBitwiseTheReshapedCall) {
+  for (const std::int64_t classes : {3, 4}) {
+    const std::int64_t batch = 5, sites = 7;
+    Xoshiro256ss rng(static_cast<std::uint64_t>(60 + classes));
+    std::vector<float> values(static_cast<std::size_t>(batch * sites * classes));
+    for (auto& v : values) v = 2.0f * static_cast<float>(normal01(rng));
+    std::vector<std::uint8_t> labels(static_cast<std::size_t>(batch * sites));
+    for (auto& l : labels)
+      l = static_cast<std::uint8_t>(
+          uniform_index(rng, static_cast<std::uint64_t>(classes)));
+
+    auto a = Tensor::from_data({batch, sites * classes}, values, true);
+    Tensor la = scale(cross_entropy_with_logits(a, labels, classes), 3.0f);
+    la.backward();
+    auto b = Tensor::from_data({batch, sites * classes}, values, true);
+    Tensor lb = scale(
+        cross_entropy_with_logits(b.reshape({batch * sites, classes}), labels),
+        3.0f);
+    lb.backward();
+    EXPECT_EQ(la.item(), lb.item());
+    EXPECT_EQ(a.grad(), b.grad());
+  }
+}
+
+// vec_expf over [-87, 0] (below that it flushes to 0) and vec_logf over
+// every binade of the normal floats, against double-precision libm.
+TEST(VecMath, ExpAndLogAccuracySweep) {
+  double worst_exp_near = 0.0, worst_exp = 0.0;
+  for (int i = 0; i <= 870'000; ++i) {
+    const float x = -1e-4f * static_cast<float>(i);
+    const double ref = std::exp(static_cast<double>(x));
+    const double rel =
+        std::fabs(static_cast<double>(vec_expf(x)) - ref) / ref;
+    worst_exp = std::max(worst_exp, rel);
+    if (x >= -1.0f) worst_exp_near = std::max(worst_exp_near, rel);
+  }
+  EXPECT_LT(worst_exp_near, 3e-7);  // ~2 ulp where softmax mass lives
+  EXPECT_LT(worst_exp, 5e-6);       // x / ln 2 rounding grows with |x|
+  EXPECT_EQ(vec_expf(-90.0f), 0.0f);
+
+  double worst_log = 0.0;
+  for (std::uint32_t bits = 0x00800000u; bits < 0x7f800000u; bits += 997) {
+    const auto x = std::bit_cast<float>(bits);
+    const double ref = std::log(static_cast<double>(x));
+    const double err = std::fabs(static_cast<double>(vec_logf(x)) - ref);
+    worst_log = std::max(worst_log, err / std::max(std::fabs(ref), 1e-30));
+  }
+  EXPECT_LT(worst_log, 3e-7);
+  EXPECT_EQ(vec_logf(1.0f), 0.0f);
 }
 
 // ---- gradient checks: autograd vs central finite differences ----
