@@ -220,6 +220,44 @@ void BM_GemmNN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256);
 
+// The decode refill GEMM of the paper-2000 solve: 16 latent rows times
+// the decoder's output layer (hidden 96 -> 2000 sites x 4 species),
+// accumulating onto bias-filled rows as Linear::forward does. The packed
+// form is what the Linear pack cache serves; the unpacked form is the
+// same product with the weights streamed from their row-major tensor.
+constexpr std::size_t kDecodeRows = 16, kDecodeK = 96, kDecodeN = 8000;
+
+void BM_GemmDecode(benchmark::State& state) {
+  std::vector<float> a(kDecodeRows * kDecodeK, 0.5f);
+  std::vector<float> w(kDecodeK * kDecodeN, 0.25f);
+  std::vector<float> c(kDecodeRows * kDecodeN, 0.0f);
+  const tensor::PackedB packed = tensor::pack_b(kDecodeK, kDecodeN, w.data());
+  for (auto _ : state) {
+    tensor::gemm_nn_acc(kDecodeRows, kDecodeK, kDecodeN, a.data(), packed,
+                        c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(2 * kDecodeRows * kDecodeK * kDecodeN));
+}
+BENCHMARK(BM_GemmDecode);
+
+void BM_GemmDecodeUnpacked(benchmark::State& state) {
+  std::vector<float> a(kDecodeRows * kDecodeK, 0.5f);
+  std::vector<float> w(kDecodeK * kDecodeN, 0.25f);
+  std::vector<float> c(kDecodeRows * kDecodeN, 0.0f);
+  for (auto _ : state) {
+    tensor::gemm_nn_acc(kDecodeRows, kDecodeK, kDecodeN, a.data(), w.data(),
+                        c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(2 * kDecodeRows * kDecodeK * kDecodeN));
+}
+BENCHMARK(BM_GemmDecodeUnpacked);
+
 void BM_GemmBackward(benchmark::State& state) {
   const auto d = static_cast<std::int64_t>(state.range(0));
   std::vector<float> a(static_cast<std::size_t>(d * d), 0.5f);

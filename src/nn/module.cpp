@@ -95,7 +95,7 @@ void Linear::repack(std::uint64_t weight_version) {
   if (packed_version_.load(std::memory_order_acquire) == weight_version)
     return;  // another thread packed this version while we waited
   pack_misses().add(1);
-  // Invalidate before touching the panels so a concurrent lookup never
+  // Invalidate before touching the strips so a concurrent lookup never
   // matches a half-written pack; publish (release) only if the weights
   // did not move while we packed. Mutating weights concurrently with
   // inference forwards is outside the library's contract anyway (the

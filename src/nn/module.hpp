@@ -49,12 +49,12 @@ class Linear final : public Module {
 
  private:
   /// Version-keyed packed-weight cache (see DESIGN.md "Cross-walker
-  /// decode plane"). Lock-free hit path: returns the cached panels iff
+  /// decode plane"). Lock-free hit path: returns the cached strips iff
   /// they were packed from exactly `weight_version`, else nullptr.
   /// Hotlisted (scripts/lint/hotlist.txt) -- no alloc, no lock.
   [[nodiscard]] const tensor::PackedB* packed_lookup(
       std::uint64_t weight_version) const;
-  /// Cold path: (re)pack the weight panels under pack_mutex_ and publish
+  /// Cold path: (re)pack the weight strips under pack_mutex_ and publish
   /// them keyed on `weight_version`. The version is re-read after the
   /// pack and the result published only if the weights did not move
   /// underneath -- a concurrent mutation leaves the cache invalid
@@ -66,7 +66,7 @@ class Linear final : public Module {
   std::int64_t in_, out_;
   Tensor weight_;  // (in, out)
   Tensor bias_;    // (out)
-  tensor::PackedB packed_;  // panels of weight_, valid iff version match
+  tensor::PackedB packed_;  // strips of weight_, valid iff version match
   std::atomic<std::uint64_t> packed_version_{kPackedNone};
   Mutex pack_mutex_;
 };

@@ -6,6 +6,10 @@
 #include <exception>
 #include <thread>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "common/error.hpp"
 
 namespace dt::par {
@@ -184,8 +188,17 @@ void run_ranks(int n_ranks, const std::function<void(Communicator&)>& body) {
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n_ranks));
   threads.reserve(static_cast<std::size_t>(n_ranks));
+#ifdef _OPENMP
+  // Each rank thread would otherwise open a full-size OpenMP team in its
+  // own GEMMs, n_ranks teams contending for the same cores; split the
+  // caller's team size between the ranks instead.
+  const int omp_threads = std::max(1, omp_get_max_threads() / n_ranks);
+#endif
   for (int r = 0; r < n_ranks; ++r) {
     threads.emplace_back([&, r] {
+#ifdef _OPENMP
+      omp_set_num_threads(omp_threads);
+#endif
       Communicator comm(ctx, r, n_ranks);
       try {
         body(comm);

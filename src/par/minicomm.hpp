@@ -184,7 +184,9 @@ class Communicator {
 
 /// Spawn `n_ranks` threads, each running `body` with its own
 /// Communicator. Rethrows the first exception raised by any rank (after
-/// joining all threads). This is minicomm's "mpirun".
+/// joining all threads). This is minicomm's "mpirun". Each rank thread
+/// runs its OpenMP regions with max(1, omp_get_max_threads() / n_ranks)
+/// threads, the caller's value split between the ranks.
 void run_ranks(int n_ranks, const std::function<void(Communicator&)>& body);
 
 }  // namespace dt::par

@@ -8,23 +8,23 @@
 //   gemm_tn_acc  C += A(p,m)^T . B(p,n)          dB += A^T . dY
 //
 // Design (see DESIGN.md "Kernel layer"):
-//  * One pair of micro-kernels serves all three: 4-row x 32-column C
-//    tiles accumulated in locals across a whole depth block, reading
-//    their A tile through (row, depth) strides so A^T (gemm_tn_acc)
-//    needs no copy.
-//  * Cache blocking over depth (kc = 256) and columns. gemm_nn and
-//    gemm_tn_acc stream kc x nc panels of B (packed into one contiguous
-//    buffer when enough row tiles reuse them, m >= 32; skinny products
-//    read B directly). gemm_nt_acc transposes one kc x 32 panel of B^T
-//    into a stack buffer per (depth block, column tile) and streams it
-//    through every row tile, so it never allocates.
-//  * Every C element is one fused multiply-add chain in increasing depth
-//    order, starting from C's incoming value.
-//  * OpenMP above a FLOP threshold, parallelised over ROW TILES ONLY --
-//    the depth reduction is never split, so every C element is
-//    accumulated in exactly the same order on any thread count. Serial
-//    and parallel paths are bitwise identical by construction (pinned in
-//    test_gemm).
+//  * One register tile serves all three: 8 rows x 48 columns of C held
+//    in 24 sixteen-float vector accumulators across a whole depth block,
+//    reading its A tile through (row, depth) strides so A^T
+//    (gemm_tn_acc) needs no copy. Partial row tiles and 16- or 32-column
+//    tails run the same vector code.
+//  * B is consumed in 48-column strips, each a contiguous (depth x 48)
+//    block: pre-packed (PackedB), packed per depth block (kc = 256) into
+//    thread-local stack scratch (gemm_nn, gemm_tn_acc), or transposed into
+//    it (gemm_nt_acc). No kernel allocates.
+//  * Every C element is one multiply-add chain (fused where the target
+//    has FMA) in increasing depth order, starting from C's incoming
+//    value.
+//  * One OpenMP region per call (above a FLOP threshold) splits the
+//    (strip, row tile) pairs into contiguous ranges -- the depth
+//    reduction is never split, so every C element is accumulated in
+//    exactly the same order on any thread count. Serial and parallel
+//    paths are bitwise identical by construction (pinned in test_gemm).
 //
 // All matrices are dense row-major, no aliasing between C and A/B.
 #pragma once
@@ -56,34 +56,34 @@ void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 /// Pre-packed B operand for gemm_nn/gemm_nn_acc.
 ///
-/// Panels are stored in exactly the order the unpacked kernel visits
-/// them -- outer loop over column blocks (j0, width kNc), inner loop
-/// over depth blocks (k0, depth kKc), each panel kb x nb row-major with
-/// leading dimension nb -- so streaming a PackedB feeds the micro
-/// kernels the same values in the same order as streaming B directly:
-/// packed and unpacked products are bitwise identical. A PackedB is
-/// immutable after pack_b(); concurrent readers need no synchronisation.
+/// Strip-major: the columns are cut into 48-wide strips, and each strip
+/// is stored as one contiguous (k x 48) row-major block, so the kernels
+/// stream it sequentially. The last strip is padded with zero columns to
+/// a multiple of 16. Packing changes where B's values sit, not the
+/// arithmetic: packed and unpacked products are bitwise identical. A
+/// PackedB is immutable after pack_b(); concurrent readers need no
+/// synchronisation.
 ///
 /// The nn-layer cache (Linear) keys a PackedB on the weight tensor's
-/// version counter so decoder panels are packed once per weight version
-/// (see DESIGN.md "Cross-walker decode plane").
+/// version counter, so decoder weights are packed once per weight
+/// version.
 class PackedB {
  public:
   PackedB() = default;
   [[nodiscard]] bool valid() const { return k_ > 0 && n_ > 0; }
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] std::size_t n() const { return n_; }
-  /// Contiguous panel storage (panel-major; see class comment).
-  [[nodiscard]] const float* panels() const { return panels_.data(); }
+  /// Contiguous strip storage (strip-major; see class comment).
+  [[nodiscard]] const float* strips() const { return strips_.data(); }
 
  private:
   friend PackedB pack_b(std::size_t k, std::size_t n, const float* b);
   std::size_t k_ = 0;
   std::size_t n_ = 0;
-  std::vector<float> panels_;
+  std::vector<float> strips_;
 };
 
-/// Pack B(k,n) row-major into cache-block panels (see PackedB).
+/// Pack B(k,n) row-major into 48-column strips (see PackedB).
 [[nodiscard]] PackedB pack_b(std::size_t k, std::size_t n, const float* b);
 
 /// C(m,n) = A(m,k) . B(k,n) over a pre-packed B. Bitwise identical to

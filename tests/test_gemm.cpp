@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,8 +42,9 @@ std::vector<float> naive_nn(std::int64_t m, std::int64_t k, std::int64_t n,
   return c;
 }
 
-// The blocked kernel reassociates the k reduction, so compare with a
-// tolerance scaled by the reduction length.
+// Float tolerance scaled by the reduction length, for the tests below
+// that compare against references summed in another order (the
+// depth-ordered bitwise checks are further down).
 void expect_close(const std::vector<float>& got,
                   const std::vector<float>& want, std::int64_t k_len) {
   ASSERT_EQ(got.size(), want.size());
@@ -340,6 +342,129 @@ TEST(GemmPackedB, ReusedAcrossRowCountsMatchesRowAtATime) {
     gemm_nn(m, k, n, a.data(), packed, batched.data());
     for (std::size_t i = 0; i < m * n; ++i)
       ASSERT_EQ(batched[i], row_at_a_time[i]) << "m=" << m << " flat " << i;
+  }
+}
+
+// Whether this build's kernels round a*b + c once (fused) or twice, read
+// off the kernel itself on operands where the two differ: a*b is
+// 1 + 2^-11 + 2^-24, whose last bit is lost when the product is rounded
+// alone. Whether gcc contracts a loop's a*b + c depends on how it
+// vectorises or instruments that loop, so the reference below makes
+// the kernels' choice explicitly instead of leaving it to the compiler.
+bool kernels_fuse() {
+  const float a = 1.0F + 0x1p-12F;
+  const float c = -1.0F;
+  float got = c;
+  gemm_nn_acc(1, 1, 1, &a, &a, &got);
+  const float fused = std::fma(a, a, c);
+  volatile float product = a * a;
+  const float split = product + c;
+  EXPECT_NE(fused, split);
+  EXPECT_TRUE(got == fused || got == split) << got;
+  return got == fused;
+}
+
+// c[i][j] += sum over t of a_at(i, t) * b_at(t, j): one multiply-add per
+// t in increasing order, starting from c's value, fused or not as the
+// kernels are.
+template <class AAt, class BAt>
+std::vector<float> depth_ordered(std::size_t m, std::size_t k, std::size_t n,
+                                 const AAt& a_at, const BAt& b_at,
+                                 std::vector<float> c) {
+  const bool fuse = kernels_fuse();
+  std::vector<float> product(n);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t t = 0; t < k; ++t) {
+      const float av = a_at(i, t);
+      float* row = c.data() + i * n;
+      if (fuse) {
+        for (std::size_t j = 0; j < n; ++j)
+          row[j] = std::fma(av, b_at(t, j), row[j]);
+      } else {
+        for (std::size_t j = 0; j < n; ++j) product[j] = av * b_at(t, j);
+        for (std::size_t j = 0; j < n; ++j) row[j] += product[j];
+      }
+    }
+  return c;
+}
+
+// Every C element is one multiply-add chain in increasing depth order,
+// starting from C's incoming value, so the kernels must match the
+// depth-ordered loop bit for bit, packed or not, on any thread count.
+// Shapes cover partial 8-row tiles, the 16- and 32-column strip tails
+// and ragged ones, depth blocks and the decode shape (16 x 96 x 8000).
+TEST(GemmNN, BitwiseEqualToDepthOrderedLoop) {
+  std::uint64_t salt = 0;
+  for (const std::int64_t k : {1, 96, 257, 600}) {
+    for (const std::int64_t n : {1, 16, 47, 48, 49, 64, 96, 256, 8000}) {
+      const auto b = random_matrix(k, n, 1500 + salt);
+      const auto sk = static_cast<std::size_t>(k);
+      const auto sn = static_cast<std::size_t>(n);
+      const PackedB packed = pack_b(sk, sn, b.data());
+      for (const std::int64_t m : {1, 7, 8, 9, 15, 16, 17, 32}) {
+        const auto a = random_matrix(m, k, 1600 + salt++);
+        const auto sm = static_cast<std::size_t>(m);
+        const std::vector<float> want = depth_ordered(
+            sm, sk, sn,
+            [&](std::size_t i, std::size_t t) { return a[i * sk + t]; },
+            [&](std::size_t t, std::size_t j) { return b[t * sn + j]; },
+            std::vector<float>(sm * sn, 0.0F));
+        for (const GemmMode mode : {GemmMode::kSerial, GemmMode::kParallel}) {
+          std::vector<float> plain(sm * sn, 5.0F);
+          std::vector<float> via_pack(sm * sn, -5.0F);
+          gemm_nn(sm, sk, sn, a.data(), b.data(), plain.data(), mode);
+          gemm_nn(sm, sk, sn, a.data(), packed, via_pack.data(), mode);
+          const bool serial = mode == GemmMode::kSerial;
+          ASSERT_EQ(plain, want) << "unpacked m=" << m << " k=" << k
+                                 << " n=" << n << " serial=" << serial;
+          ASSERT_EQ(via_pack, want) << "packed m=" << m << " k=" << k
+                                    << " n=" << n << " serial=" << serial;
+        }
+      }
+    }
+  }
+}
+
+// The backward kernels on the same footing: C's incoming value, then the
+// depth terms in increasing order.
+TEST(GemmBackward, BitwiseEqualToDepthOrderedLoop) {
+  std::uint64_t salt = 0;
+  for (const std::int64_t depth : {1, 32, 257}) {
+    for (const std::int64_t m : {1, 9, 17, 96}) {
+      for (const std::int64_t n : {1, 16, 49, 96, 300}) {
+        const auto sm = static_cast<std::size_t>(m);
+        const auto sn = static_cast<std::size_t>(n);
+        const auto sd = static_cast<std::size_t>(depth);
+        const auto init = random_matrix(m, n, 1700 + salt);
+        // gemm_nt_acc: C(m,n) += A(m,t) . B(n,t)^T.
+        const auto a_nt = random_matrix(m, depth, 1800 + salt);
+        const auto b_nt = random_matrix(n, depth, 1900 + salt);
+        // gemm_tn_acc: C(m,n) += A(p,m)^T . B(p,n).
+        const auto a_tn = random_matrix(depth, m, 2000 + salt);
+        const auto b_tn = random_matrix(depth, n, 2100 + salt);
+        ++salt;
+        const std::vector<float> want_nt = depth_ordered(
+            sm, sd, sn,
+            [&](std::size_t i, std::size_t t) { return a_nt[i * sd + t]; },
+            [&](std::size_t t, std::size_t j) { return b_nt[j * sd + t]; },
+            init);
+        const std::vector<float> want_tn = depth_ordered(
+            sm, sd, sn,
+            [&](std::size_t i, std::size_t t) { return a_tn[t * sm + i]; },
+            [&](std::size_t t, std::size_t j) { return b_tn[t * sn + j]; },
+            init);
+        for (const GemmMode mode : {GemmMode::kSerial, GemmMode::kParallel}) {
+          std::vector<float> nt = init;
+          std::vector<float> tn = init;
+          gemm_nt_acc(sm, sn, sd, a_nt.data(), b_nt.data(), nt.data(), mode);
+          gemm_tn_acc(sd, sm, sn, a_tn.data(), b_tn.data(), tn.data(), mode);
+          ASSERT_EQ(nt, want_nt) << "nt m=" << m << " n=" << n
+                                 << " t=" << depth;
+          ASSERT_EQ(tn, want_tn) << "tn p=" << depth << " m=" << m
+                                 << " n=" << n;
+        }
+      }
+    }
   }
 }
 

@@ -6,6 +6,10 @@
 #include <atomic>
 #include <numeric>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "common/error.hpp"
 
 namespace dt::par {
@@ -21,6 +25,25 @@ TEST(Minicomm, RankAndSize) {
   });
   EXPECT_EQ(seen.load(), 4);
 }
+
+#ifdef _OPENMP
+// Rank threads split the caller's OpenMP team size instead of each
+// opening a full team of its own.
+TEST(Minicomm, RankThreadsSplitTheOpenMpTeam) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(6);
+  for (const auto& [ranks, want] : {std::array{2, 3}, std::array{4, 1},
+                                    std::array{8, 1}, std::array{1, 6}}) {
+    std::atomic<int> matched{0};
+    run_ranks(ranks, [&, want = want](Communicator&) {
+      if (omp_get_max_threads() == want) ++matched;
+    });
+    EXPECT_EQ(matched.load(), ranks) << ranks << " ranks";
+  }
+  EXPECT_EQ(omp_get_max_threads(), 6);  // the caller's own value is kept
+  omp_set_num_threads(saved);
+}
+#endif
 
 TEST(Minicomm, PointToPointDelivers) {
   run_ranks(2, [](Communicator& comm) {
